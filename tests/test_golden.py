@@ -1,0 +1,56 @@
+"""Frozen output digests: a refactor must reproduce these bytes exactly.
+
+The digests were taken with numpy 2.4.6 and scipy 1.17.1.  The visible sets
+come from qhull through ``scipy.spatial.ConvexHull``, so a different scipy
+may legitimately change them; re-derive the digests only after checking
+that such a change comes from the library and not from this package.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from mvrep.cli import main
+from mvrep.io import write_partial_set
+from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
+from mvrep.synthetic import synthetic_room
+from mvrep.viewpoints import GridConfig
+
+# Manifest plus every partial file of the 12k-point room, any worker count.
+GENERATE_SHA256 = "f2d1a173d9b5a37fe05f25b6cb78facc894e6dbee2bbb1b02d72c98be5ff5073"
+# ``mvrep critical`` JSON with default --k, --trials and --seed.
+CRITICAL_SHA256 = "a414af45820c0e930a6d9e2df6d712c0e42f49188ca4d8ca28eb3683d7e45475"
+
+
+@pytest.fixture(scope="module")
+def room():
+    return synthetic_room(12_000, size=(4.0, 3.0, 2.5), seed=1)
+
+
+def tree_digest(root: Path) -> str:
+    """SHA-256 over the relative name and content digest of every file."""
+    h = hashlib.sha256()
+    for path in sorted(p for p in root.rglob("*") if p.is_file()):
+        h.update(path.relative_to(root).as_posix().encode() + b"\0")
+        h.update(hashlib.sha256(path.read_bytes()).digest())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_generate_outputs_match_golden(room, tmp_path, jobs):
+    config = PipelineConfig(
+        grid=GridConfig(spacing=2.0), min_points=50, radius_factor=1000.0, seed=0, jobs=jobs
+    )
+    partials, manifest = generate_multiview(room, config)
+    assert manifest.source_path == ""
+    write_outputs(partials, manifest, tmp_path)
+    assert tree_digest(tmp_path) == GENERATE_SHA256
+
+
+def test_critical_report_matches_golden(room, tmp_path):
+    src = tmp_path / "golden_room.txt"
+    write_partial_set(room, src)
+    out = tmp_path / "critical.json"
+    assert main(["critical", "--input", str(src), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITICAL_SHA256
