@@ -25,7 +25,6 @@ from .io import (
     CloudFormatError,
     ManifestEntry,
     MultiviewManifest,
-    Point,
     PointCloud,
     parse_ply,
     parse_s3dis_room,
@@ -36,7 +35,6 @@ from .io import (
 from .pipeline import (
     FusionRecipe,
     PipelineConfig,
-    filter_by_threshold,
     fuse_training_set,
     generate_multiview,
     normalize_features,
@@ -62,14 +60,12 @@ __all__ = [
     "MultiviewManifest",
     "Perspective",
     "PipelineConfig",
-    "Point",
     "PointCloud",
     "bounding_box",
     "convex_hull_3d",
     "critical_set",
     "embed",
     "enumerate_perspectives",
-    "filter_by_threshold",
     "frustum_mask",
     "fuse_training_set",
     "generate_multiview",

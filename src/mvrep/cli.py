@@ -20,7 +20,9 @@ from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
-from .critical import FeatureBank, critical_set, verify_subset_invariance
+# critical_set stays importable from here: perfbench/tracing.py wraps the
+# names this module looks up, this one among them.
+from .critical import FeatureBank, critical_set, verify_subset_invariance  # noqa: F401
 from .geometry import FovSpec
 from .hpr import visible_points
 from .io import (
@@ -66,38 +68,24 @@ def _bool(text: str) -> bool:
     raise ConfigError(f"expected a boolean, got {text!r}")
 
 
-# Casters for everything a generate config file may set; keys use
-# underscores, flag spellings use dashes.
+# Everything a generate config file or flag may set: the config object the
+# key lands in ("fov", "grid", "pipeline", or "cli" for CLI-only keys), the
+# field it sets there, and its caster.  Keys use underscores, flag spellings
+# use dashes.  Defaults live in the config dataclasses alone.
 _GENERATE_SCHEMA = {
-    "hfov": float,
-    "vfov": float,
-    "min_depth": float,
-    "max_depth": float,
-    "min_points": int,
-    "spacing": float,
-    "camera_height": float,
-    "yaw_steps": _float_list,
-    "pitch_steps": _float_list,
-    "radius_factor": float,
-    "seed": int,
-    "jobs": int,
-    "with_labels": _bool,
-}
-
-_GENERATE_DEFAULTS = {
-    "hfov": 70.0,
-    "vfov": 60.0,
-    "min_depth": 0.5,
-    "max_depth": 4.0,
-    "min_points": 40_000,
-    "spacing": 4.0,
-    "camera_height": 1.5,
-    "yaw_steps": tuple(float(y) for y in range(0, 360, 45)),
-    "pitch_steps": (-30.0, 0.0, 30.0),
-    "radius_factor": 1000.0,
-    "seed": 0,
-    "jobs": 1,
-    "with_labels": False,
+    "hfov": ("fov", "hfov_deg", float),
+    "vfov": ("fov", "vfov_deg", float),
+    "min_depth": ("fov", "min_depth", float),
+    "max_depth": ("fov", "max_depth", float),
+    "min_points": ("pipeline", "min_points", int),
+    "spacing": ("grid", "spacing", float),
+    "camera_height": ("grid", "camera_height", float),
+    "yaw_steps": ("grid", "yaw_steps", _float_list),
+    "pitch_steps": ("grid", "pitch_steps", _float_list),
+    "radius_factor": ("pipeline", "radius_factor", float),
+    "seed": ("pipeline", "seed", int),
+    "jobs": ("pipeline", "jobs", int),
+    "with_labels": ("cli", "with_labels", _bool),
 }
 
 
@@ -121,49 +109,37 @@ def _load_config_file(path: str) -> dict[str, str]:
     return values
 
 
+def _cast(key: str, raw, source: str):
+    try:
+        return _GENERATE_SCHEMA[key][2](raw)
+    except ValueError as exc:
+        raise ConfigError(f"{source}: {exc}") from None
+
+
 def _merged_generate_values(args) -> dict:
-    file_values: dict[str, str] = {}
+    """The generate keys that were set, cast; the config file < explicit flags."""
     config_path = args.config or os.environ.get("MVREP_CONFIG")
-    if config_path:
-        file_values = _load_config_file(config_path)
-    merged = dict(_GENERATE_DEFAULTS)
-    for key, raw in file_values.items():
-        try:
-            merged[key] = _GENERATE_SCHEMA[key](raw)
-        except ValueError as exc:
-            raise ConfigError(f"config key {key}: {exc}") from None
+    file_values = _load_config_file(config_path) if config_path else {}
+    values = {key: _cast(key, raw, f"config key {key}") for key, raw in file_values.items()}
     for key in _GENERATE_SCHEMA:
         cli_value = getattr(args, key, None)
-        if cli_value is None:
-            continue
         if isinstance(cli_value, str):
-            try:
-                cli_value = _GENERATE_SCHEMA[key](cli_value)
-            except ValueError as exc:
-                raise ConfigError(f"flag --{key.replace('_', '-')}: {exc}") from None
-        merged[key] = cli_value
-    return merged
+            cli_value = _cast(key, cli_value, f"flag --{key.replace('_', '-')}")
+        if cli_value is not None:
+            values[key] = cli_value
+    return values
 
 
 def _pipeline_config(values: dict) -> PipelineConfig:
+    """Build the config from the keys that were set; the rest keep the
+    dataclass defaults."""
+    kwargs: dict[str, dict] = defaultdict(dict)
+    for key, value in values.items():
+        target, name, _ = _GENERATE_SCHEMA[key]
+        kwargs[target][name] = value
     try:
         return PipelineConfig(
-            fov=FovSpec(
-                hfov_deg=values["hfov"],
-                vfov_deg=values["vfov"],
-                min_depth=values["min_depth"],
-                max_depth=values["max_depth"],
-            ),
-            grid=GridConfig(
-                spacing=values["spacing"],
-                camera_height=values["camera_height"],
-                yaw_steps=tuple(values["yaw_steps"]),
-                pitch_steps=tuple(values["pitch_steps"]),
-            ),
-            min_points=values["min_points"],
-            radius_factor=values["radius_factor"],
-            seed=values["seed"],
-            jobs=values["jobs"],
+            fov=FovSpec(**kwargs["fov"]), grid=GridConfig(**kwargs["grid"]), **kwargs["pipeline"]
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
@@ -178,7 +154,7 @@ def _load_cloud(path: str, fmt: str, with_labels: bool = False):
 def cmd_generate(args) -> int:
     values = _merged_generate_values(args)
     config = _pipeline_config(values)
-    cloud = _load_cloud(args.input, args.format, with_labels=values["with_labels"])
+    cloud = _load_cloud(args.input, args.format, with_labels=values.get("with_labels", False))
     partials, manifest = generate_multiview(cloud, config)
     manifest = replace(manifest, source_path=str(Path(args.input).resolve()))
     manifest_path = write_outputs(partials, manifest, args.out)
@@ -246,10 +222,10 @@ def cmd_critical(args) -> int:
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
     bank = FeatureBank.rbf(cloud.bounds, k=args.k, seed=args.seed)
-    report = critical_set(cloud.positions, bank)
     invariance = verify_subset_invariance(
         cloud.positions, bank, trials=args.trials, seed=args.seed
     )
+    report = invariance.report
     doc = {
         "room_id": cloud.room_id,
         "seed": args.seed,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Aabb
+from .geometry import Aabb, _as_points
 
 __all__ = [
     "FeatureBank",
@@ -26,13 +26,6 @@ __all__ = [
     "verify_subset_invariance",
     "verify_monotonicity",
 ]
-
-
-def _positions(points) -> np.ndarray:
-    pos = np.asarray(getattr(points, "positions", points), dtype=np.float64)
-    if pos.ndim != 2 or pos.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) point array, got shape {pos.shape}")
-    return pos
 
 
 @dataclass(frozen=True)
@@ -72,7 +65,7 @@ class FeatureBank:
 
     def evaluate(self, points) -> np.ndarray:
         """Per-point feature matrix of shape (n, K)."""
-        pos = _positions(points)
+        pos = _as_points(points)
         if self.coord_dims is not None:
             return pos[:, list(self.coord_dims)].copy()
         # |x - c|^2 expanded; avoids an (n, K, 3) intermediate on big clouds.
@@ -86,7 +79,7 @@ class FeatureBank:
 
 def embed(points, bank: FeatureBank) -> np.ndarray:
     """Max-pooled set embedding u, shape (K,)."""
-    pos = _positions(points)
+    pos = _as_points(points)
     if pos.shape[0] == 0:
         raise ValueError("embedding of an empty set is undefined")
     return bank.evaluate(pos).max(axis=0)
@@ -119,10 +112,13 @@ def critical_set(points, bank: FeatureBank) -> CriticalReport:
 
     The critical set size is therefore at most K regardless of cloud size.
     """
-    pos = _positions(points)
-    if pos.shape[0] == 0:
+    return _critical_report(bank.evaluate(points), bank)
+
+
+def _critical_report(feats: np.ndarray, bank: FeatureBank) -> CriticalReport:
+    """Critical set of the cloud whose per-point features are ``feats``."""
+    if feats.shape[0] == 0:
         raise ValueError("critical set of an empty set is undefined")
-    feats = bank.evaluate(pos)
     u = feats.max(axis=0)
     # argmax returns the first, i.e. lowest, attaining index per dimension.
     critical = np.unique(feats.argmax(axis=0))
@@ -134,7 +130,7 @@ def critical_set(points, bank: FeatureBank) -> CriticalReport:
             "feature dimensions"
         ),
         critical_size=int(critical.size),
-        cloud_size=int(pos.shape[0]),
+        cloud_size=int(feats.shape[0]),
         k=bank.k,
     )
 
@@ -145,8 +141,15 @@ class InvarianceReport:
 
     trials: int
     failures: tuple[int, ...]
-    u: np.ndarray
-    critical_indices: np.ndarray
+    report: CriticalReport
+
+    @property
+    def u(self) -> np.ndarray:
+        return self.report.u
+
+    @property
+    def critical_indices(self) -> np.ndarray:
+        return self.report.critical_indices
 
     @property
     def passed(self) -> bool:
@@ -172,9 +175,9 @@ def verify_subset_invariance(
     plus a random selection of the remaining points.  Equality of the
     embeddings is exact, not approximate.
     """
-    pos = _positions(points)
-    report = critical_set(pos, bank)
+    pos = _as_points(points)
     feats = bank.evaluate(pos)
+    report = _critical_report(feats, bank)
     if not (feats <= report.u[None, :]).all():
         raise AssertionError("upper-mask predicate violated by a cloud point")
     others = np.setdiff1d(np.arange(pos.shape[0]), report.critical_indices)
@@ -190,8 +193,7 @@ def verify_subset_invariance(
     return InvarianceReport(
         trials=trials,
         failures=tuple(failures),
-        u=report.u,
-        critical_indices=report.critical_indices,
+        report=report,
     )
 
 
@@ -237,9 +239,9 @@ def verify_monotonicity(dense, sparse, partials, bank: FeatureBank) -> Monotonic
     positions.  When all partials already sit inside the sparse cloud, the
     fused embedding must equal the sparse one exactly, not just bound it.
     """
-    dense_pos = _positions(dense)
-    sparse_pos = _positions(sparse)
-    partial_pos = [_positions(p) for p in partials]
+    dense_pos = _as_points(dense)
+    sparse_pos = _as_points(sparse)
+    partial_pos = [_as_points(p) for p in partials]
     dense_rows = _row_set(dense_pos)
     if not _row_set(sparse_pos) <= dense_rows:
         raise ValueError("sparse cloud is not a subset of the dense cloud")

@@ -14,6 +14,7 @@ import numpy as np
 from .geometry import (
     EPS_DIST,
     DegenerateInputError,
+    _as_points,
     bounding_box,
     convex_hull_3d,
     spherical_flip,
@@ -43,9 +44,7 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
         Sorted array of visible indices into the input.  Sets with fewer
         than 4 points are returned in full: a hull cannot distinguish them.
     """
-    pts = np.asarray(getattr(points, "positions", points), dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
+    pts = _as_points(points)
     n = pts.shape[0]
     if n == 0:
         raise ValueError("visibility of an empty point set is undefined")

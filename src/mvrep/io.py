@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,6 @@ from .geometry import Aabb, bounding_box
 __all__ = [
     "S3DIS_CATEGORIES",
     "CloudFormatError",
-    "Point",
     "PointCloud",
     "ManifestEntry",
     "MultiviewManifest",
@@ -47,15 +46,6 @@ S3DIS_CATEGORIES = (
 
 class CloudFormatError(ValueError):
     """Malformed point cloud or manifest input."""
-
-
-@dataclass(frozen=True)
-class Point:
-    """A single point, mostly useful for spot checks in tests."""
-
-    position: tuple[float, float, float]
-    color: tuple[int, int, int]
-    label: int | None = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,14 +88,6 @@ class PointCloud:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
-    def point(self, i: int) -> Point:
-        lab = None if self.labels is None else int(self.labels[i])
-        return Point(
-            position=tuple(float(v) for v in self.positions[i]),
-            color=tuple(int(v) for v in self.colors[i]),
-            label=lab,
-        )
-
     def subset(self, indices) -> "PointCloud":
         idx = np.asarray(indices)
         return PointCloud(
@@ -114,9 +96,6 @@ class PointCloud:
             labels=None if self.labels is None else self.labels[idx],
             room_id=self.room_id,
         )
-
-    def with_room_id(self, room_id: str) -> "PointCloud":
-        return replace(self, room_id=room_id)
 
 
 def _load_numeric_lines(path: Path) -> np.ndarray:
@@ -228,31 +207,24 @@ def parse_s3dis_room(path, with_labels: bool = False) -> PointCloud:
             files = sorted(ann.glob("*.txt"))
             if not files:
                 raise CloudFormatError(f"{ann}: no annotation files")
-            tables, labels = [], []
+            tables = []
             for f in files:
                 data = _load_numeric_lines(f)
                 if data.shape[1] != 6:
                     raise CloudFormatError(
                         f"{f}: annotation files must have 6 columns, got {data.shape[1]}"
                     )
-                tables.append(data)
                 category = f.stem.split("_")[0].lower()
                 cat_id = (
                     S3DIS_CATEGORIES.index(category)
                     if category in S3DIS_CATEGORIES
                     else S3DIS_CATEGORIES.index("clutter")
                 )
-                labels.append(np.full(data.shape[0], cat_id, dtype=np.int32))
-            merged = np.vstack(tables)
-            cloud = _cloud_from_table(merged, path, with_labels=False, room_id=_room_id_for(path))
-            if with_labels:
-                cloud = PointCloud(
-                    positions=cloud.positions,
-                    colors=cloud.colors,
-                    labels=np.concatenate(labels),
-                    room_id=cloud.room_id,
-                )
-            return cloud
+                # The category becomes the 7th (label) column of the table.
+                tables.append(np.column_stack([data, np.full(data.shape[0], cat_id)]))
+            return _cloud_from_table(
+                np.vstack(tables), path, with_labels=with_labels, room_id=_room_id_for(path)
+            )
         merged_file = path / f"{path.name}.txt"
         if not merged_file.is_file():
             raise CloudFormatError(

@@ -36,7 +36,6 @@ __all__ = [
     "FusionRecipe",
     "generate_multiview",
     "write_outputs",
-    "filter_by_threshold",
     "fuse_training_set",
     "normalize_features",
     "split_blocks",
@@ -56,7 +55,6 @@ class PipelineConfig:
     seed: int = 0
     jobs: int = 1
     coverage_target: float = 0.80
-    output_dir: Path | None = None
 
     def __post_init__(self) -> None:
         if self.min_points < 0:
@@ -67,8 +65,8 @@ class PipelineConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def echo(self) -> dict:
-        """Generation-relevant parameters; excludes jobs and paths, which
-        must never influence the produced bytes."""
+        """Generation-relevant parameters; excludes jobs, which must never
+        influence the produced bytes."""
         return {
             "hfov_deg": self.fov.hfov_deg,
             "vfov_deg": self.fov.vfov_deg,
@@ -103,11 +101,15 @@ class FusionRecipe:
             )
 
 
-def _perspective_task(positions, perspective, radius_factor, seed):
-    """Cull one frustum and run hidden point removal inside it."""
+def _perspective_task(positions, perspective, radius_factor, keep_at, seed):
+    """Cull one frustum and run hidden point removal inside it.
+
+    The visible set is a subset of the culled one, so a frustum holding
+    fewer than ``keep_at`` points cannot be kept and skips the hull.
+    """
     mask = frustum_mask(positions, perspective)
     culled = np.flatnonzero(mask)
-    if culled.size == 0:
+    if culled.size < keep_at:
         return culled, None
     local = visible_points(
         positions[culled], perspective.viewpoint, radius_factor, seed=seed
@@ -128,21 +130,18 @@ def generate_multiview(
     positions = cloud.positions
     viewpoints = grid_viewpoints(cloud.bounds, config.grid)
     perspectives = enumerate_perspectives(viewpoints, config.grid, config.fov)
+    keep_at = max(config.min_points, 1)
 
     def run(p):
         # Seed is derived per perspective so results do not depend on the
         # order in which workers pick up tasks.
         return _perspective_task(
-            positions, p, config.radius_factor, seed=(config.seed, p.perspective_id)
+            positions, p, config.radius_factor, keep_at, seed=(config.seed, p.perspective_id)
         )
 
-    if config.jobs == 1:
-        results = [run(p) for p in perspectives]
-    else:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            results = list(pool.map(run, perspectives))
+    with ThreadPoolExecutor(max_workers=config.jobs) as pool:
+        results = list(pool.map(run, perspectives))
 
-    keep_at = max(config.min_points, 1)
     in_any_frustum = np.zeros(len(cloud), dtype=bool)
     covered = np.zeros(len(cloud), dtype=bool)
     partials: list[PointCloud] = []
@@ -211,15 +210,6 @@ def write_outputs(
     manifest_path = out / f"{manifest.room_id}_manifest.json"
     write_manifest(manifest, manifest_path)
     return manifest_path
-
-
-def filter_by_threshold(
-    clouds, min_points: int = 40_000
-) -> list[PointCloud]:
-    """Keep clouds with at least ``min_points`` points, preserving order."""
-    if min_points < 0:
-        raise ValueError(f"min_points must be >= 0, got {min_points}")
-    return [c for c in clouds if len(c) >= min_points]
 
 
 def _area_rng(seed: int, area: str) -> np.random.Generator:

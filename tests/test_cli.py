@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from mvrep.cli import main
+from mvrep.critical import FeatureBank
 from mvrep.io import parse_s3dis_room, read_manifest
+from mvrep.pipeline import PipelineConfig
 from mvrep.synthetic import synthetic_room
+from mvrep.viewpoints import GridConfig
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,14 @@ class TestGenerate:
             cloud = parse_s3dis_room(out / entry.file_path)
             assert len(cloud) == entry.point_count
         assert "kept" in capsys.readouterr().out
+
+    def test_unset_flags_take_dataclass_defaults(self, room_file, tmp_path):
+        out = tmp_path / "mv"
+        assert run_generate(room_file, out) == 0
+        manifest = read_manifest(out / "Area_1_office_9_manifest.json")
+        expected = PipelineConfig(grid=GridConfig(spacing=2.0), min_points=50)
+        assert manifest.config == expected.echo()
+        assert manifest.generation_config_hash == expected.config_hash()
 
     def test_config_file_layering(self, room_file, tmp_path):
         # defaults < config file < explicit flag
@@ -272,6 +283,20 @@ class TestCritical:
         assert doc["critical"]["critical_size"] <= 16
         assert doc["invariance"]["passed"] is True
         assert "invariance ok" in capsys.readouterr().out
+
+    def test_feature_bank_evaluated_once(self, room_file, tmp_path, monkeypatch):
+        calls = []
+        real = FeatureBank.evaluate
+
+        def counting(self, points):
+            calls.append(len(points))
+            return real(self, points)
+
+        monkeypatch.setattr(FeatureBank, "evaluate", counting)
+        out = tmp_path / "crit.json"
+        argv = ["critical", "--input", str(room_file), "--k", "16", "--trials", "10"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert calls == [6_000]
 
     def test_bad_k_is_config_error(self, room_file, tmp_path):
         code = main(

@@ -84,17 +84,6 @@ class TestPointCloud:
         np.testing.assert_array_equal(s.labels, c.labels[[3, 1]])
         assert s.room_id == c.room_id
 
-    def test_point_accessor(self):
-        c = small_cloud()
-        p = c.point(2)
-        assert p.position == tuple(c.positions[2])
-        assert p.color == tuple(int(v) for v in c.colors[2])
-        assert p.label == int(c.labels[2])
-
-    def test_with_room_id(self):
-        c = small_cloud().with_room_id("Area_9_lobby_1")
-        assert c.room_id == "Area_9_lobby_1"
-
 
 class TestAreaOf:
     def test_standard_ids(self):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from helpers import make_cloud
-from mvrep.geometry import Aabb, FovSpec
+from mvrep import pipeline
+from mvrep.geometry import Aabb, FovSpec, frustum_mask
 from mvrep.io import PointCloud, parse_s3dis_room, read_manifest
 from mvrep.pipeline import (
     FusionRecipe,
     PipelineConfig,
-    filter_by_threshold,
     fuse_training_set,
     generate_multiview,
     normalize_features,
@@ -17,7 +17,7 @@ from mvrep.pipeline import (
     write_outputs,
 )
 from mvrep.synthetic import synthetic_room
-from mvrep.viewpoints import GridConfig
+from mvrep.viewpoints import GridConfig, enumerate_perspectives, grid_viewpoints
 
 
 def small_config(**overrides):
@@ -43,9 +43,8 @@ def generated(room):
 
 class TestPipelineConfig:
     def test_echo_excludes_execution_knobs(self):
-        echo = PipelineConfig(jobs=7, output_dir="somewhere").echo()
+        echo = PipelineConfig(jobs=7).echo()
         assert "jobs" not in echo
-        assert "output_dir" not in echo
         assert echo["min_points"] == 40_000
         assert echo["radius_factor"] == 1000.0
 
@@ -120,6 +119,27 @@ class TestGenerateMultiview:
         ]
         assert m0.generation_config_hash != m1.generation_config_hash
 
+    def test_hpr_runs_only_on_frusta_that_can_be_kept(self, room, monkeypatch):
+        # Visible points are a subset of the culled ones, so a frustum that
+        # culls fewer than min_points points skips hidden point removal.
+        config = small_config()
+        hpr_inputs = []
+        real = pipeline.visible_points
+
+        def counting(points, *args, **kwargs):
+            hpr_inputs.append(len(points))
+            return real(points, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "visible_points", counting)
+        generate_multiview(room, config)
+        viewpoints = grid_viewpoints(room.bounds, config.grid)
+        culled = [
+            int(frustum_mask(room.positions, p).sum())
+            for p in enumerate_perspectives(viewpoints, config.grid, config.fov)
+        ]
+        assert len(hpr_inputs) == sum(c >= config.min_points for c in culled)
+        assert min(hpr_inputs) >= config.min_points
+
     def test_min_points_floor_drops_empty_views(self, room):
         partials, manifest = generate_multiview(room, small_config(min_points=0))
         assert all(len(p) >= 1 for p in partials)
@@ -141,22 +161,6 @@ class TestWriteOutputs:
         )
         np.testing.assert_array_equal(cloud.colors, partials[0].colors)
         np.testing.assert_array_equal(cloud.labels, partials[0].labels)
-
-
-class TestFilterByThreshold:
-    def test_keeps_order_and_applies_floor(self):
-        clouds = [
-            make_cloud(np.zeros((5, 3))),
-            make_cloud(np.zeros((2, 3))),
-            make_cloud(np.zeros((9, 3))),
-        ]
-        kept = filter_by_threshold(clouds, min_points=5)
-        assert [len(c) for c in kept] == [5, 9]
-        assert filter_by_threshold(clouds, min_points=0) == clouds
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match="min_points"):
-            filter_by_threshold([], min_points=-3)
 
 
 class TestFuseTrainingSet:
