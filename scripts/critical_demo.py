@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from mvrep.critical import FeatureBank, critical_set, verify_subset_invariance
+from mvrep.critical import FeatureBank, verify_subset_invariance
 from mvrep.geometry import bounding_box
 from mvrep.synthetic import synthetic_room
 
@@ -27,8 +27,8 @@ def main() -> None:
     pts = room.positions
     bank = FeatureBank.rbf(bounding_box(pts), k=args.k, seed=args.seed)
 
-    report = critical_set(pts, bank)
     invariance = verify_subset_invariance(pts, bank, trials=args.trials, seed=args.seed)
+    report = invariance.report
 
     print(f"cloud: {report.cloud_size} points, bank: K={report.k}")
     print(f"critical set: {report.critical_size} points "

@@ -9,6 +9,7 @@ is at hand.
 import argparse
 from pathlib import Path
 
+from mvrep.io import write_partial_set
 from mvrep.synthetic import synthetic_room
 
 
@@ -34,14 +35,7 @@ def main() -> None:
         with_labels=args.with_labels,
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    with args.out.open("w") as fh:
-        for i in range(len(cloud)):
-            p = cloud.positions[i]
-            c = cloud.colors[i]
-            row = f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {c[0]} {c[1]} {c[2]}"
-            if args.with_labels:
-                row += f" {cloud.labels[i]}"
-            fh.write(row + "\n")
+    write_partial_set(cloud, args.out)
     print(f"wrote {len(cloud)} points to {args.out}")
 
 

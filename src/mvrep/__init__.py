@@ -17,7 +17,6 @@ from .geometry import (
     bounding_box,
     convex_hull_3d,
     frustum_mask,
-    in_frustum,
     spherical_flip,
 )
 from .hpr import visible_points
@@ -37,8 +36,6 @@ from .pipeline import (
     PipelineConfig,
     fuse_training_set,
     generate_multiview,
-    normalize_features,
-    split_blocks,
     write_outputs,
 )
 from .synthetic import synthetic_room
@@ -70,13 +67,10 @@ __all__ = [
     "fuse_training_set",
     "generate_multiview",
     "grid_viewpoints",
-    "in_frustum",
-    "normalize_features",
     "parse_ply",
     "parse_s3dis_room",
     "read_manifest",
     "spherical_flip",
-    "split_blocks",
     "synthetic_room",
     "verify_monotonicity",
     "verify_subset_invariance",

@@ -216,11 +216,11 @@ def cmd_fuse(args) -> int:
 
 
 def cmd_critical(args) -> int:
-    cloud = _load_cloud(args.input, args.format)
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
+    cloud = _load_cloud(args.input, args.format)
     bank = FeatureBank.rbf(cloud.bounds, k=args.k, seed=args.seed)
     invariance = verify_subset_invariance(
         cloud.positions, bank, trials=args.trials, seed=args.seed

@@ -24,7 +24,6 @@ __all__ = [
     "DegenerateInputError",
     "bounding_box",
     "camera_axes",
-    "in_frustum",
     "frustum_mask",
     "spherical_flip",
     "convex_hull_3d",
@@ -150,15 +149,7 @@ def frustum_mask(points, perspective: Perspective) -> np.ndarray:
     return mask
 
 
-def in_frustum(point, perspective: Perspective) -> bool:
-    """Scalar wrapper around :func:`frustum_mask` for a single point."""
-    pt = np.asarray(point, dtype=np.float64).reshape(1, 3)
-    return bool(frustum_mask(pt, perspective)[0])
-
-
-def spherical_flip(
-    points, viewpoint, radius: float, *, eps_dist: float = EPS_DIST
-) -> np.ndarray:
+def spherical_flip(points, viewpoint, radius: float) -> np.ndarray:
     """Reflect points about a sphere of ``radius`` centred on the viewpoint.
 
     With q = p - viewpoint, the image is ``q * (2 * radius / |q| - 1)`` moved
@@ -173,7 +164,6 @@ def spherical_flip(
         points: (n, 3) array or PointCloud-like object.
         viewpoint: flip centre.
         radius: sphere radius; at least half the farthest point distance.
-        eps_dist: minimum allowed distance from the viewpoint.
 
     Returns:
         (n, 3) array of flipped points.
@@ -184,9 +174,9 @@ def spherical_flip(
     norms = np.linalg.norm(rel, axis=1)
     if pts.shape[0]:
         nearest = int(np.argmin(norms))
-        if norms[nearest] < eps_dist:
+        if norms[nearest] < EPS_DIST:
             raise ValueError(
-                f"point {nearest} lies within {eps_dist} of the viewpoint; "
+                f"point {nearest} lies within {EPS_DIST} of the viewpoint; "
                 "its ray direction is undefined"
             )
         farthest = float(norms.max())

@@ -72,5 +72,6 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
         rng = np.random.default_rng(seed)
         scale = 1e-7 * bounding_box(hull_input).diameter
         hull = convex_hull_3d(hull_input + rng.normal(size=hull_input.shape) * scale)
+    # vertex_indices is sorted and the filter keeps its order.
     visible = hull.vertex_indices[hull.vertex_indices < n]
-    return np.sort(visible).astype(np.intp)
+    return visible.astype(np.intp)

@@ -1,4 +1,4 @@
-"""Multiview generation pipeline and dataset preparation helpers.
+"""Multiview generation pipeline and training-list fusion.
 
 ``generate_multiview`` runs the full chain for one room: enumerate camera
 perspectives over the room's bounds, cull each frustum, remove hidden
@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import Aabb, FovSpec, frustum_mask
+from .geometry import FovSpec, frustum_mask
 from .hpr import visible_points
 from .io import (
     ManifestEntry,
@@ -37,11 +37,13 @@ __all__ = [
     "generate_multiview",
     "write_outputs",
     "fuse_training_set",
-    "normalize_features",
-    "split_blocks",
 ]
 
 logger = logging.getLogger(__name__)
+
+# Share of the input the kept partial sets should cover; below it a run
+# logs a warning.
+COVERAGE_TARGET = 0.80
 
 
 @dataclass(frozen=True)
@@ -54,7 +56,6 @@ class PipelineConfig:
     radius_factor: float = 1000.0
     seed: int = 0
     jobs: int = 1
-    coverage_target: float = 0.80
 
     def __post_init__(self) -> None:
         if self.min_points < 0:
@@ -76,7 +77,8 @@ class PipelineConfig:
             "camera_height": self.grid.camera_height,
             "yaw_steps": list(self.grid.yaw_steps),
             "pitch_steps": list(self.grid.pitch_steps),
-            "include_boundary": self.grid.include_boundary,
+            # Not settable, but part of the manifest and config_hash bytes.
+            "include_boundary": True,
             "min_points": self.min_points,
             "radius_factor": self.radius_factor,
             "seed": self.seed,
@@ -176,13 +178,13 @@ def generate_multiview(
             uncovered_frustum,
         )
     coverage = float(covered.mean())
-    if coverage < config.coverage_target:
+    if coverage < COVERAGE_TARGET:
         logger.warning(
             "%s: union of kept partial sets covers %.3f of the input, "
             "below the %.2f target",
             cloud.room_id,
             coverage,
-            config.coverage_target,
+            COVERAGE_TARGET,
         )
 
     manifest = MultiviewManifest(
@@ -246,61 +248,3 @@ def fuse_training_set(
         chosen = rng.choice(len(pool), size=recipe.partial_per_area, replace=False)
         out.extend(pool[i] for i in chosen)
     return out
-
-
-def normalize_features(cloud: PointCloud, room_bounds: Aabb | None = None) -> np.ndarray:
-    """Per-point 9-dim features: x y z, rgb scaled to [0, 1], location in room.
-
-    The location triple is (p - lo) / (hi - lo) per axis against the room
-    bounds (the cloud's own bounds by default); axes of zero extent map to
-    0.  Points outside the bounds by more than 1e-6 are an error.
-    """
-    bounds = cloud.bounds if room_bounds is None else room_bounds
-    lo = np.asarray(bounds.lo, dtype=np.float64)
-    hi = np.asarray(bounds.hi, dtype=np.float64)
-    pos = cloud.positions
-    if np.any(pos < lo - 1e-6) or np.any(pos > hi + 1e-6):
-        raise ValueError(f"{cloud.room_id}: points fall outside the given room bounds")
-    extent = hi - lo
-    safe = np.where(extent > 0.0, extent, 1.0)
-    loc = np.clip((pos - lo) / safe, 0.0, 1.0)
-    loc[:, extent <= 0.0] = 0.0
-    rgb = cloud.colors.astype(np.float64) / 255.0
-    return np.hstack([pos, rgb, loc])
-
-
-def split_blocks(
-    cloud: PointCloud,
-    block_size: float = 1.0,
-    points_per_block: int = 4096,
-    seed: int = 0,
-) -> list[np.ndarray]:
-    """Index sets for fixed-size training blocks on a horizontal grid.
-
-    Cells of ``block_size`` metres tile the xy bounds starting at the low
-    corner; every non-empty cell is resampled to exactly
-    ``points_per_block`` indices, without replacement when the cell has
-    enough points and with replacement otherwise.  Blocks are returned in
-    lexicographic cell order and sampling is seeded per cell.
-    """
-    if not block_size > 0.0:
-        raise ValueError(f"block_size must be positive, got {block_size}")
-    if points_per_block < 1:
-        raise ValueError(f"points_per_block must be >= 1, got {points_per_block}")
-    lo = cloud.bounds.lo
-    extent = cloud.bounds.extent
-    n_cells = np.maximum(np.ceil(extent[:2] / block_size).astype(int), 1)
-    cell = np.floor((cloud.positions[:, :2] - lo[:2]) / block_size).astype(int)
-    # Points sitting exactly on the high boundary belong to the last cell.
-    cell = np.minimum(cell, n_cells - 1)
-    blocks: list[np.ndarray] = []
-    for ix in range(n_cells[0]):
-        for iy in range(n_cells[1]):
-            members = np.flatnonzero((cell[:, 0] == ix) & (cell[:, 1] == iy))
-            if members.size == 0:
-                continue
-            rng = np.random.default_rng([seed, ix, iy])
-            replace = members.size < points_per_block
-            picked = rng.choice(members, size=points_per_block, replace=replace)
-            blocks.append(np.sort(picked))
-    return blocks

@@ -23,7 +23,6 @@ class GridConfig:
     camera_height: float = 1.5
     yaw_steps: tuple[float, ...] = DEFAULT_YAWS
     pitch_steps: tuple[float, ...] = DEFAULT_PITCHES
-    include_boundary: bool = True
 
     def __post_init__(self) -> None:
         if not self.spacing > 0.0:
@@ -32,13 +31,13 @@ class GridConfig:
             raise ValueError("yaw_steps and pitch_steps must be non-empty")
 
 
-def _axis_lines(lo: float, hi: float, spacing: float, include_boundary: bool) -> list[float]:
+def _axis_lines(lo: float, hi: float, spacing: float) -> list[float]:
     extent = hi - lo
     # Tolerate float noise so an exact multiple lands on the boundary line
     # instead of duplicating it.
     steps = int(math.floor(extent / spacing + 1e-9))
     lines = [lo + k * spacing for k in range(steps + 1)]
-    if include_boundary and hi - lines[-1] > 1e-9 * max(extent, 1.0):
+    if hi - lines[-1] > 1e-9 * max(extent, 1.0):
         lines.append(hi)
     return lines
 
@@ -56,8 +55,8 @@ def grid_viewpoints(bounds: Aabb, config: GridConfig) -> np.ndarray:
     if hi[0] - lo[0] <= 0.0 or hi[1] - lo[1] <= 0.0:
         centre = (lo + hi) / 2.0
         return np.array([[centre[0], centre[1], z]])
-    xs = _axis_lines(lo[0], hi[0], config.spacing, config.include_boundary)
-    ys = _axis_lines(lo[1], hi[1], config.spacing, config.include_boundary)
+    xs = _axis_lines(lo[0], hi[0], config.spacing)
+    ys = _axis_lines(lo[1], hi[1], config.spacing)
     return np.array([[x, y, z] for x in xs for y in ys])
 
 

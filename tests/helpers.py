@@ -32,16 +32,3 @@ def max_outside_distance(points: np.ndarray, hull: ConvexHull3) -> float:
     offsets = np.einsum("ij,ij->i", normals, a[keep])
     signed = points @ normals.T - offsets
     return float(signed.max()) if signed.size else 0.0
-
-
-def make_cloud(positions, room_id="Area_1_test"):
-    """PointCloud with synthetic colors/labels for plumbing tests."""
-    from mvrep.io import PointCloud
-
-    positions = np.asarray(positions, dtype=np.float64)
-    n = positions.shape[0]
-    colors = np.tile(np.array([10, 20, 30], dtype=np.uint8), (n, 1))
-    labels = np.zeros(n, dtype=np.int32)
-    return PointCloud(
-        positions=positions, colors=colors, labels=labels, room_id=room_id
-    )

@@ -304,6 +304,13 @@ class TestCritical:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("flag", [["--k", "0"], ["--trials", "-1"]])
+    def test_flag_error_reported_before_input_is_read(self, tmp_path, capsys, flag):
+        missing = tmp_path / "no_such_room.txt"
+        code = main(["critical", "--input", str(missing), *flag, "--out", str(tmp_path / "c.json")])
+        assert code == 2
+        assert "must be >=" in capsys.readouterr().err
+
 
 class TestStats:
     def test_table_layout(self, room_file, tmp_path, capsys):

@@ -16,7 +16,6 @@ from mvrep.geometry import (
     camera_axes,
     convex_hull_3d,
     frustum_mask,
-    in_frustum,
     spherical_flip,
 )
 
@@ -92,45 +91,41 @@ class TestCameraAxes:
         np.testing.assert_allclose(np.cross(right, forward), up, atol=1e-12)
 
 
+def _mask(points, yaw=0.0):
+    """``frustum_mask`` of the default FovSpec from the origin, as a list."""
+    return frustum_mask(np.array(points, dtype=float), _perspective(yaw=yaw)).tolist()
+
+
 class TestFrustum:
+    # Default FovSpec: 70 x 60 degrees, depth 0.5..4.0, all bounds inclusive.
     def test_point_straight_ahead(self):
-        assert in_frustum([2.0, 0.0, 0.0], _perspective())
+        assert _mask([[2.0, 0.0, 0.0]]) == [True]
 
     def test_point_too_close(self):
-        assert not in_frustum([0.3, 0.0, 0.0], _perspective())
+        assert _mask([[0.3, 0.0, 0.0]]) == [False]
 
     def test_point_beyond_max_depth(self):
-        assert not in_frustum([4.5, 0.0, 0.0], _perspective())
+        assert _mask([[4.5, 0.0, 0.0]]) == [False]
 
     def test_depth_bounds_inclusive(self):
-        assert in_frustum([0.5, 0.0, 0.0], _perspective())
-        assert in_frustum([4.0, 0.0, 0.0], _perspective())
+        assert _mask([[0.5, 0.0, 0.0], [4.0, 0.0, 0.0]]) == [True, True]
 
     def test_point_outside_horizontal_fov(self):
         # 40 degrees off axis against a 70 degree horizontal fov
         p = [2.0 * np.cos(np.radians(40)), 2.0 * np.sin(np.radians(40)), 0.0]
-        assert not in_frustum(p, _perspective())
+        assert _mask([p]) == [False]
 
     def test_point_inside_horizontal_fov(self):
         p = [2.0 * np.cos(np.radians(30)), 2.0 * np.sin(np.radians(30)), 0.0]
-        assert in_frustum(p, _perspective())
+        assert _mask([p]) == [True]
 
     def test_vertical_fov_cut(self):
         # 35 degrees of elevation against a 60 degree vertical fov
         p = [2.0 * np.cos(np.radians(35)), 0.0, 2.0 * np.sin(np.radians(35))]
-        assert not in_frustum(p, _perspective())
-
-    def test_mask_matches_scalar_path(self, rng):
-        pts = rng.uniform(-5, 5, size=(500, 3))
-        persp = _perspective(viewpoint=(0.5, -0.2, 1.0), yaw=123.0, pitch=-20.0)
-        mask = frustum_mask(pts, persp)
-        scalar = np.array([in_frustum(p, persp) for p in pts])
-        np.testing.assert_array_equal(mask, scalar)
+        assert _mask([p]) == [False]
 
     def test_yawed_perspective(self):
-        persp = _perspective(yaw=90.0)
-        assert in_frustum([0.0, 2.0, 0.0], persp)
-        assert not in_frustum([2.0, 0.0, 0.0], persp)
+        assert _mask([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0]], yaw=90.0) == [True, False]
 
 
 class TestSphericalFlip:

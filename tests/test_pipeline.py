@@ -1,19 +1,16 @@
-"""End-to-end generation pipeline and dataset preparation helpers."""
+"""End-to-end generation pipeline and training-list fusion."""
 
 import numpy as np
 import pytest
 
-from helpers import make_cloud
 from mvrep import pipeline
-from mvrep.geometry import Aabb, FovSpec, frustum_mask
-from mvrep.io import PointCloud, parse_s3dis_room, read_manifest
+from mvrep.geometry import FovSpec, frustum_mask
+from mvrep.io import parse_s3dis_room, read_manifest
 from mvrep.pipeline import (
     FusionRecipe,
     PipelineConfig,
     fuse_training_set,
     generate_multiview,
-    normalize_features,
-    split_blocks,
     write_outputs,
 )
 from mvrep.synthetic import synthetic_room
@@ -205,72 +202,3 @@ class TestFuseTrainingSet:
             ValueError, match="area Area_2: requested 5 partial sets but only 4"
         ):
             fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe)
-
-
-class TestNormalizeFeatures:
-    def test_worked_example(self):
-        cloud = PointCloud(
-            positions=np.array([[0.0, 0.0, 0.0], [2.0, 4.0, 1.0], [1.0, 2.0, 0.5]]),
-            colors=np.array([[0, 51, 255], [255, 0, 102], [102, 204, 0]], dtype=np.uint8),
-            labels=None,
-            room_id="Area_1_test",
-        )
-        feats = normalize_features(cloud)
-        assert feats.shape == (3, 9)
-        np.testing.assert_allclose(feats[:, :3], cloud.positions)
-        np.testing.assert_allclose(feats[1, 3:6], [1.0, 0.0, 0.4])
-        np.testing.assert_allclose(feats[2, 6:], [0.5, 0.5, 0.5])
-        np.testing.assert_allclose(feats[0, 6:], [0.0, 0.0, 0.0])
-
-    def test_zero_extent_axis_maps_to_zero(self):
-        pts = np.array([[0.0, 1.0, 2.0], [3.0, 1.0, 2.0]])
-        cloud = make_cloud(pts)
-        feats = normalize_features(cloud)
-        np.testing.assert_allclose(feats[:, 6], [0.0, 1.0])
-        np.testing.assert_allclose(feats[:, 7], 0.0)
-        np.testing.assert_allclose(feats[:, 8], 0.0)
-
-    def test_room_bounds_override_and_validation(self):
-        cloud = make_cloud(np.array([[1.0, 1.0, 1.0]]))
-        bounds = Aabb(lo=np.zeros(3), hi=np.full(3, 2.0))
-        feats = normalize_features(cloud, bounds)
-        np.testing.assert_allclose(feats[0, 6:], 0.5)
-        tight = Aabb(lo=np.zeros(3), hi=np.full(3, 0.5))
-        with pytest.raises(ValueError, match="outside"):
-            normalize_features(cloud, tight)
-
-
-class TestSplitBlocks:
-    def test_grid_and_block_sizes(self):
-        rng = np.random.default_rng(0)
-        pts = rng.uniform(0.0, 2.0, size=(5_000, 3))
-        cloud = make_cloud(pts)
-        blocks = split_blocks(cloud, block_size=1.0, points_per_block=256)
-        assert len(blocks) == 4
-        for b in blocks:
-            assert b.shape == (256,)
-            cell = pts[b, :2] // 1.0
-            assert np.unique(cell, axis=0).shape[0] == 1
-
-    def test_small_cells_sample_with_replacement(self):
-        pts = np.array([[0.1, 0.1, 0.0], [0.2, 0.2, 0.0]])
-        blocks = split_blocks(make_cloud(pts), block_size=1.0, points_per_block=8)
-        assert len(blocks) == 1
-        assert blocks[0].shape == (8,)
-        assert set(blocks[0].tolist()) <= {0, 1}
-
-    def test_deterministic(self):
-        rng = np.random.default_rng(1)
-        cloud = make_cloud(rng.uniform(size=(300, 3)) * 3.0)
-        a = split_blocks(cloud, seed=5, points_per_block=64)
-        b = split_blocks(cloud, seed=5, points_per_block=64)
-        assert len(a) == len(b)
-        for x, y in zip(a, b):
-            np.testing.assert_array_equal(x, y)
-
-    def test_validation(self):
-        cloud = make_cloud(np.zeros((3, 3)))
-        with pytest.raises(ValueError, match="block_size"):
-            split_blocks(cloud, block_size=0.0)
-        with pytest.raises(ValueError, match="points_per_block"):
-            split_blocks(cloud, points_per_block=0)

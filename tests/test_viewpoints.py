@@ -55,12 +55,6 @@ class TestGridViewpoints:
         xs = sorted(set(vps[:, 0]))
         assert xs == [0.0, 1.0]
 
-    def test_no_boundary_when_disabled(self):
-        vps = grid_viewpoints(
-            box((8.0, 6.0, 3.0)), GridConfig(include_boundary=False)
-        )
-        assert sorted(set(vps[:, 1])) == [0.0, 4.0]
-
     def test_camera_height_applied(self):
         vps = grid_viewpoints(box((4.0, 4.0, 3.0), lo=(0, 0, 1.0)), GridConfig())
         np.testing.assert_allclose(vps[:, 2], 2.5)
