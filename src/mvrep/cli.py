@@ -26,6 +26,7 @@ from .critical import FeatureBank, critical_set, verify_subset_invariance  # noq
 from .geometry import FovSpec
 from .hpr import visible_points
 from .io import (
+    MANIFEST_SUFFIX,
     CloudFormatError,
     area_of,
     parse_ply,
@@ -187,9 +188,9 @@ def _scan_manifests(root: str):
     root_path = Path(root)
     if not root_path.is_dir():
         raise CloudFormatError(f"{root}: not a directory")
-    paths = sorted(root_path.rglob("*_manifest.json"))
+    paths = sorted(root_path.rglob(f"*{MANIFEST_SUFFIX}"))
     if not paths:
-        raise CloudFormatError(f"{root}: no *_manifest.json files found")
+        raise CloudFormatError(f"{root}: no *{MANIFEST_SUFFIX} files found")
     return [(path, read_manifest(path)) for path in paths]
 
 

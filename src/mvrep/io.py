@@ -6,8 +6,9 @@ are metres, colors are integers in [0, 255].  Blank lines and ``#`` comments
 are skipped.  PLY input supports ascii and binary_little_endian vertex
 layouts with float/double x y z and optional uchar red green blue.
 
-Manifests are canonical JSON: keys sorted, entries sorted by perspective id,
-so semantically equal manifests serialize to identical bytes.
+Manifests are canonical JSON named ``<room_id>_manifest.json`` (``MANIFEST_SUFFIX``):
+keys sorted, entries sorted by perspective id, so semantically equal
+manifests serialize to identical bytes.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ import numpy as np
 from .geometry import Aabb, bounding_box
 
 __all__ = [
+    "MANIFEST_SUFFIX",
     "S3DIS_CATEGORIES",
     "CloudFormatError",
     "PointCloud",
@@ -36,6 +38,8 @@ __all__ = [
     "partial_filename",
     "area_of",
 ]
+
+MANIFEST_SUFFIX = "_manifest.json"
 
 # Native room-scan annotation categories; unknown object names map to clutter.
 S3DIS_CATEGORIES = (
@@ -63,7 +67,7 @@ class PointCloud:
     bounds: Aabb = field(init=False)
 
     def __post_init__(self) -> None:
-        pos = np.asarray(self.positions, dtype=np.float64)
+        pos = np.ascontiguousarray(self.positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] == 0:
             raise ValueError(f"positions must be a non-empty (n, 3) array, got {pos.shape}")
         if not np.isfinite(pos).all():
@@ -145,33 +149,21 @@ def _cloud_from_table(
         )
     if with_labels and ncols != 7:
         raise CloudFormatError(f"{path}: labels requested but no 7th column present")
-    bad = ~np.isfinite(data).all(axis=1)
-    if bad.any():
-        raise CloudFormatError(
-            f"{path}: data line {int(np.flatnonzero(bad)[0]) + 1}: non-finite coordinate"
-        )
     colors = data[:, 3:6]
-    if np.any((colors < 0) | (colors > 255)) or np.any(colors != np.floor(colors)):
-        bad_rows = np.flatnonzero(
-            ((colors < 0) | (colors > 255) | (colors != np.floor(colors))).any(axis=1)
-        )
-        raise CloudFormatError(
-            f"{path}: data line {int(bad_rows[0]) + 1}: color fields must be "
-            "integers in [0, 255]"
-        )
-    labels = None
+    checks = [
+        (~np.isfinite(data).all(axis=1), "non-finite coordinate"),
+        (((colors < 0) | (colors > 255) | (colors != np.floor(colors))).any(axis=1),
+         "color fields must be integers in [0, 255]"),
+    ]
     if with_labels:
-        raw = data[:, 6]
-        if np.any(raw != np.floor(raw)):
-            bad_rows = np.flatnonzero(raw != np.floor(raw))
-            raise CloudFormatError(
-                f"{path}: data line {int(bad_rows[0]) + 1}: label must be an integer"
-            )
-        labels = raw.astype(np.int32)
+        checks.append((data[:, 6] != np.floor(data[:, 6]), "label must be an integer"))
+    for bad, message in checks:
+        if bad.any():
+            raise CloudFormatError(f"{path}: data line {int(np.argmax(bad)) + 1}: {message}")
     return PointCloud(
         positions=data[:, :3],
         colors=colors.astype(np.uint8),
-        labels=labels,
+        labels=data[:, 6].astype(np.int32) if with_labels else None,
         room_id=room_id,
     )
 
@@ -392,18 +384,12 @@ def write_partial_set(cloud: PointCloud, path) -> None:
     Output bytes are a pure function of the cloud contents, so repeated
     writes of equal clouds are byte-identical.
     """
-    path = Path(path)
-    lines = []
-    pos, col, lab = cloud.positions, cloud.colors, cloud.labels
-    for i in range(len(cloud)):
-        line = (
-            f"{pos[i, 0]:.6f} {pos[i, 1]:.6f} {pos[i, 2]:.6f} "
-            f"{col[i, 0]} {col[i, 1]} {col[i, 2]}"
-        )
-        if lab is not None:
-            line += f" {lab[i]}"
-        lines.append(line)
-    path.write_text("\n".join(lines) + "\n")
+    columns = cloud.positions.T.tolist() + cloud.colors.T.tolist()
+    if cloud.labels is not None:
+        columns.append(cloud.labels.tolist())
+    row = "%.6f %.6f %.6f" + " %d" * (len(columns) - 3) + "\n"
+    with open(path, "w") as fh:
+        fh.writelines(row % values for values in zip(*columns))
 
 
 def partial_filename(room_id: str, perspective_id: int, yaw_deg: float, pitch_deg: float) -> str:
@@ -420,16 +406,6 @@ class ManifestEntry:
     pitch_deg: float
     point_count: int
     file_path: str
-
-    def to_dict(self) -> dict:
-        return {
-            "perspective_id": self.perspective_id,
-            "viewpoint": list(self.viewpoint),
-            "yaw_deg": self.yaw_deg,
-            "pitch_deg": self.pitch_deg,
-            "point_count": self.point_count,
-            "file_path": self.file_path,
-        }
 
 
 @dataclass(frozen=True)
@@ -450,35 +426,23 @@ class MultiviewManifest:
     source_path: str = ""
     coverage: float = 0.0
 
-    def to_dict(self) -> dict:
-        entries = sorted(self.entries, key=lambda e: e.perspective_id)
-        return {
-            "room_id": self.room_id,
-            "original_count": self.original_count,
-            "entries": [e.to_dict() for e in entries],
-            "generation_config_hash": self.generation_config_hash,
-            "seed": self.seed,
-            "config": self.config,
-            "source_path": self.source_path,
-            "coverage": self.coverage,
-            "totals": {"original_sets": 1, "partial_sets": len(entries)},
-        }
-
 
 def write_manifest(manifest: MultiviewManifest, path) -> None:
     """Serialize a manifest as canonical JSON (sorted keys, sorted entries)."""
     ids = [e.perspective_id for e in manifest.entries]
     if len(set(ids)) != len(ids):
         raise ValueError(f"manifest for {manifest.room_id} has duplicate perspective ids")
-    min_points = manifest.config.get("min_points")
-    if min_points is not None:
-        for e in manifest.entries:
-            if e.point_count < int(min_points):
-                raise ValueError(
-                    f"manifest entry {e.perspective_id} has {e.point_count} points, "
-                    f"below the configured minimum {min_points}"
-                )
-    Path(path).write_text(json.dumps(manifest.to_dict(), sort_keys=True, indent=2) + "\n")
+    min_points = int(manifest.config.get("min_points") or 0)
+    for e in manifest.entries:
+        if e.point_count < min_points:
+            raise ValueError(
+                f"manifest entry {e.perspective_id} has {e.point_count} points, "
+                f"below the configured minimum {min_points}"
+            )
+    doc = asdict(manifest)
+    doc["entries"] = sorted(doc["entries"], key=lambda e: e["perspective_id"])
+    doc["totals"] = {"original_sets": 1, "partial_sets": len(ids)}
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def read_manifest(path) -> MultiviewManifest:

@@ -22,6 +22,7 @@ import numpy as np
 from .geometry import FovSpec, frustum_mask
 from .hpr import visible_points
 from .io import (
+    MANIFEST_SUFFIX,
     ManifestEntry,
     MultiviewManifest,
     PointCloud,
@@ -209,7 +210,7 @@ def write_outputs(
     out.mkdir(parents=True, exist_ok=True)
     for cloud, entry in zip(partials, manifest.entries):
         write_partial_set(cloud, out / entry.file_path)
-    manifest_path = out / f"{manifest.room_id}_manifest.json"
+    manifest_path = out / f"{manifest.room_id}{MANIFEST_SUFFIX}"
     write_manifest(manifest, manifest_path)
     return manifest_path
 

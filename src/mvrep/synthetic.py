@@ -33,21 +33,17 @@ def _rect(origin, e1, e2, n, rng):
     return np.asarray(origin) + u * np.asarray(e1) + v * np.asarray(e2)
 
 
-def _box_faces(lo, hi, top_only=False):
+def _box_faces(lo, hi):
     """Faces of an axis-aligned box as (origin, e1, e2) triples."""
     lo, hi = np.asarray(lo, float), np.asarray(hi, float)
     d = hi - lo
-    faces = [
+    return [
         (lo + [0, 0, d[2]], [d[0], 0, 0], [0, d[1], 0]),  # top
+        (lo, [d[0], 0, 0], [0, 0, d[2]]),                 # y = lo side
+        (lo + [0, d[1], 0], [d[0], 0, 0], [0, 0, d[2]]),
+        (lo, [0, d[1], 0], [0, 0, d[2]]),                 # x = lo side
+        (lo + [d[0], 0, 0], [0, d[1], 0], [0, 0, d[2]]),
     ]
-    if not top_only:
-        faces += [
-            (lo, [d[0], 0, 0], [0, 0, d[2]]),             # y = lo side
-            (lo + [0, d[1], 0], [d[0], 0, 0], [0, 0, d[2]]),
-            (lo, [0, d[1], 0], [0, 0, d[2]]),             # x = lo side
-            (lo + [d[0], 0, 0], [0, d[1], 0], [0, 0, d[2]]),
-        ]
-    return faces
 
 
 def synthetic_room(

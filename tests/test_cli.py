@@ -7,7 +7,7 @@ import pytest
 
 from mvrep.cli import main
 from mvrep.critical import FeatureBank
-from mvrep.io import parse_s3dis_room, read_manifest
+from mvrep.io import parse_s3dis_room, read_manifest, write_partial_set
 from mvrep.pipeline import PipelineConfig
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig
@@ -16,12 +16,10 @@ from mvrep.viewpoints import GridConfig
 @pytest.fixture(scope="module")
 def room_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("rooms") / "Area_1_office_9.txt"
-    room = synthetic_room(6_000, size=(4.0, 3.0, 2.5), seed=2, room_id="Area_1_office_9")
-    lines = [
-        f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {c[0]} {c[1]} {c[2]}"
-        for p, c in zip(room.positions, room.colors)
-    ]
-    path.write_text("\n".join(lines) + "\n")
+    room = synthetic_room(
+        6_000, size=(4.0, 3.0, 2.5), seed=2, room_id="Area_1_office_9", with_labels=False
+    )
+    write_partial_set(room, path)
     return path
 
 
@@ -131,11 +129,7 @@ class TestGenerate:
             5_000, size=(3.0, 3.0, 2.5), seed=4, room_id="Area_2_office_1"
         )
         src = tmp_path / "Area_2_office_1.txt"
-        rows = [
-            f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {c[0]} {c[1]} {c[2]} {l}"
-            for p, c, l in zip(room.positions, room.colors, room.labels)
-        ]
-        src.write_text("\n".join(rows) + "\n")
+        write_partial_set(room, src)
         out = tmp_path / "mv"
         assert run_generate(src, out, "--with-labels") == 0
         manifest = read_manifest(out / "Area_2_office_1_manifest.json")

@@ -113,15 +113,46 @@ class TestTextRoundTrip:
         assert len(text.splitlines()) == len(c)
         assert len(text.splitlines()[0].split()) == 6
 
-    def test_six_decimal_coordinates(self, tmp_path):
+    @pytest.mark.parametrize("with_labels", [False, True], ids=["6col", "7col"])
+    @pytest.mark.parametrize(
+        "xyz, rgb, label, six_col, seven_col",
+        [
+            pytest.param(
+                (1.23456789, 0.0, 2.0), (7, 8, 9), 0,
+                "1.234568 0.000000 2.000000 7 8 9\n",
+                "1.234568 0.000000 2.000000 7 8 9 0\n",
+                id="round",
+            ),
+            pytest.param(
+                (-0.0, 2.5e-7, -2.5e-7), (0, 255, 0), -1,
+                "-0.000000 0.000000 -0.000000 0 255 0\n",
+                "-0.000000 0.000000 -0.000000 0 255 0 -1\n",
+                id="signed-zero",
+            ),
+            pytest.param(
+                (1.0000005, 123456.7890125, -123456.7890125), (255, 0, 255), 12,
+                "1.000001 123456.789012 -123456.789012 255 0 255\n",
+                "1.000001 123456.789012 -123456.789012 255 0 255 12\n",
+                id="decimal-tie",
+            ),
+        ],
+    )
+    def test_six_decimal_coordinates(
+        self, tmp_path, xyz, rgb, label, six_col, seven_col, with_labels
+    ):
         c = PointCloud(
-            positions=np.array([[1.23456789, 0.0, 2.0], [0, 1, 2]]),
-            colors=np.zeros((2, 3), dtype=np.uint8),
-            labels=None,
+            positions=np.array([xyz]),
+            colors=np.array([rgb], dtype=np.uint8),
+            labels=np.array([label]) if with_labels else None,
         )
         f = tmp_path / "p.txt"
         write_partial_set(c, f)
-        assert f.read_text().splitlines()[0].startswith("1.234568 0.000000 2.000000")
+        assert f.read_text() == (seven_col if with_labels else six_col)
+
+    def test_text_positions_are_contiguous(self, tmp_path):
+        f = tmp_path / "room.txt"
+        write_partial_set(small_cloud(), f)
+        assert parse_s3dis_room(f).positions.flags.c_contiguous
 
     def test_labels_requested_but_missing(self, tmp_path):
         c = small_cloud(with_labels=False)
@@ -154,11 +185,22 @@ class TestTextRoundTrip:
         with pytest.raises(CloudFormatError, match="6 fields"):
             parse_s3dis_room(f)
 
-    def test_color_out_of_range(self, tmp_path):
+    @pytest.mark.parametrize(
+        "bad_row, with_labels, message",
+        [
+            pytest.param("1 nan 3 4 5 6 0", False, "non-finite", id="nan-coordinate"),
+            pytest.param("1 2 3 4 nan 6 0", False, "non-finite", id="nan-color"),
+            pytest.param("1 2 3 0 0 300 0", False, "color", id="color-range"),
+            pytest.param("1 2 3 0 1.5 0 0", False, "color", id="color-fraction"),
+            pytest.param("1 2 3 4 5 6 2.5", True, "label", id="label-fraction"),
+        ],
+    )
+    def test_bad_row_reports_data_line(self, tmp_path, bad_row, with_labels, message):
+        # The comment line is not a data line: the bad row is data line 3.
         f = tmp_path / "bad.txt"
-        f.write_text("1 2 3 0 0 300\n")
-        with pytest.raises(CloudFormatError, match="color"):
-            parse_s3dis_room(f)
+        f.write_text(f"0 0 0 1 2 3 4\n# scan header\n1 1 1 1 2 3 4\n{bad_row}\n")
+        with pytest.raises(CloudFormatError, match=f"data line 3: {message}"):
+            parse_s3dis_room(f, with_labels=with_labels)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(CloudFormatError, match="no such file"):
