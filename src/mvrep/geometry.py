@@ -11,10 +11,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import ConvexHull as _QhullHull
-from scipy.spatial import QhullError
 
 __all__ = [
+    "CULL_BLOCK_ROWS",
     "EPS_DIST",
     "HULL_EPS_SCALE",
     "Aabb",
@@ -34,6 +33,9 @@ EPS_DIST = 1e-6
 
 # Facet / coplanarity tolerance, relative to the input diameter.
 HULL_EPS_SCALE = 1e-9
+
+# Rows per frustum-cull block; each block's temporaries stay in cache.
+CULL_BLOCK_ROWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -137,15 +139,25 @@ def frustum_mask(points, perspective: Perspective) -> np.ndarray:
     pts = _as_points(points)
     fov = perspective.fov
     forward, right, up = camera_axes(perspective.yaw_deg, perspective.pitch_deg)
-    rel = pts - np.asarray(perspective.viewpoint, dtype=np.float64)
-    d = rel @ forward
-    lateral = rel @ right
-    vertical = rel @ up
+    vp = np.asarray(perspective.viewpoint, dtype=np.float64)
     half_h = math.radians(fov.hfov_deg) / 2.0
     half_v = math.radians(fov.vfov_deg) / 2.0
-    mask = (d >= fov.min_depth) & (d <= fov.max_depth)
-    mask &= np.abs(np.arctan2(lateral, d)) <= half_h
-    mask &= np.abs(np.arctan2(vertical, d)) <= half_v
+    n = pts.shape[0]
+    mask = np.zeros(n, dtype=bool)
+    # Block by block, the arctan2 tests run only on rows inside the depth
+    # window.  Each product stays a BLAS matrix-vector product over the whole
+    # block, which rounds every row as the product over the whole array
+    # does; numpy's one-row product rounds differently, so a one-row tail
+    # block starts one row early instead.
+    for start in range(0, n, CULL_BLOCK_ROWS):
+        start = min(start, max(n - 2, 0))
+        rel = pts[start:start + CULL_BLOCK_ROWS] - vp
+        d = rel @ forward
+        near = np.flatnonzero((d >= fov.min_depth) & (d <= fov.max_depth))
+        d = d[near]
+        inside = np.abs(np.arctan2((rel @ right)[near], d)) <= half_h
+        inside &= np.abs(np.arctan2((rel @ up)[near], d)) <= half_v
+        mask[start + near] = inside
     return mask
 
 
@@ -230,6 +242,9 @@ def convex_hull_3d(points) -> ConvexHull3:
     n = pts.shape[0]
     if n == 0:
         raise ValueError("convex hull of an empty point set is undefined")
+    # Imported here so that commands which build no hull start without scipy.
+    from scipy.spatial import ConvexHull, QhullError
+
     diameter = bounding_box(pts).diameter
     eps = HULL_EPS_SCALE * diameter if diameter > 0.0 else 0.0
     dim = _dimensionality(pts, eps) if n > 1 else 0
@@ -238,7 +253,7 @@ def convex_hull_3d(points) -> ConvexHull3:
             dim, f"hull input spans only {dim} dimensions ({n} points)"
         )
     try:
-        hull = _QhullHull(pts)
+        hull = ConvexHull(pts)
     except QhullError as exc:  # full-rank input that qhull still rejects
         raise DegenerateInputError(
             dim, f"qhull failed on near-degenerate input: {exc}"

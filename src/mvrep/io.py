@@ -26,6 +26,7 @@ from .geometry import Aabb, bounding_box
 __all__ = [
     "MANIFEST_SUFFIX",
     "S3DIS_CATEGORIES",
+    "WRITE_BLOCK_ROWS",
     "CloudFormatError",
     "PointCloud",
     "ManifestEntry",
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 MANIFEST_SUFFIX = "_manifest.json"
+
+# Rows per block written by ``write_partial_set``.
+WRITE_BLOCK_ROWS = 1 << 16
 
 # Native room-scan annotation categories; unknown object names map to clutter.
 S3DIS_CATEGORIES = (
@@ -384,12 +388,16 @@ def write_partial_set(cloud: PointCloud, path) -> None:
     Output bytes are a pure function of the cloud contents, so repeated
     writes of equal clouds are byte-identical.
     """
-    columns = cloud.positions.T.tolist() + cloud.colors.T.tolist()
-    if cloud.labels is not None:
-        columns.append(cloud.labels.tolist())
-    row = "%.6f %.6f %.6f" + " %d" * (len(columns) - 3) + "\n"
+    labelled = cloud.labels is not None
+    row = "%.6f %.6f %.6f %d %d %d" + " %d" * labelled + "\n"
     with open(path, "w") as fh:
-        fh.writelines(row % values for values in zip(*columns))
+        # Rows go out in blocks so only one block is held as Python lists.
+        for start in range(0, len(cloud), WRITE_BLOCK_ROWS):
+            rows = slice(start, start + WRITE_BLOCK_ROWS)
+            columns = cloud.positions[rows].T.tolist() + cloud.colors[rows].T.tolist()
+            if labelled:
+                columns.append(cloud.labels[rows].tolist())
+            fh.writelines(row % values for values in zip(*columns))
 
 
 def partial_filename(room_id: str, perspective_id: int, yaw_deg: float, pitch_deg: float) -> str:

@@ -1,5 +1,7 @@
 """Unit tests for camera geometry, the flip map, and the hull wrapper."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from helpers import max_outside_distance
 from mvrep.geometry import (
+    CULL_BLOCK_ROWS,
     Aabb,
     ConvexHull3,
     DegenerateInputError,
@@ -126,6 +129,122 @@ class TestFrustum:
 
     def test_yawed_perspective(self):
         assert _mask([[0.0, 2.0, 0.0], [2.0, 0.0, 0.0]], yaw=90.0) == [True, False]
+
+
+def _unblocked_mask(points, perspective):
+    """The cull as one whole-array pass: the reference for the blocked one."""
+    fov = perspective.fov
+    forward, right, up = camera_axes(perspective.yaw_deg, perspective.pitch_deg)
+    rel = points - np.asarray(perspective.viewpoint, dtype=np.float64)
+    d = rel @ forward
+    lateral = rel @ right
+    vertical = rel @ up
+    mask = (d >= fov.min_depth) & (d <= fov.max_depth)
+    mask &= np.abs(np.arctan2(lateral, d)) <= math.radians(fov.hfov_deg) / 2.0
+    mask &= np.abs(np.arctan2(vertical, d)) <= math.radians(fov.vfov_deg) / 2.0
+    return mask
+
+
+def _fov_edge(half_angle, d=2.0):
+    """Largest offset whose angle at depth ``d`` is still within ``half_angle``."""
+    y = d * math.tan(half_angle)
+    while np.arctan2(y, d) > half_angle:
+        y = np.nextafter(y, 0.0)
+    while np.arctan2(np.nextafter(y, np.inf), d) <= half_angle:
+        y = np.nextafter(y, np.inf)
+    return float(y)
+
+
+_FOV = FovSpec()
+_H_EDGE = _fov_edge(math.radians(_FOV.hfov_deg) / 2.0)
+_V_EDGE = _fov_edge(math.radians(_FOV.vfov_deg) / 2.0)
+# From the origin at yaw 0, pitch 0: depth is x, lateral is -y, vertical is z,
+# each exact, so these points sit on a bound or one ulp outside it.
+_EDGE_POINTS = {
+    "min-depth": ([_FOV.min_depth, 0.0, 0.0], [np.nextafter(_FOV.min_depth, 0.0), 0.0, 0.0]),
+    "max-depth": ([_FOV.max_depth, 0.0, 0.0], [np.nextafter(_FOV.max_depth, np.inf), 0.0, 0.0]),
+    "hfov-edge": ([2.0, -_H_EDGE, 0.0], [2.0, -np.nextafter(_H_EDGE, np.inf), 0.0]),
+    "vfov-edge": ([2.0, 0.0, _V_EDGE], [2.0, 0.0, np.nextafter(_V_EDGE, np.inf)]),
+}
+
+
+class TestFrustumBlocks:
+    """The cull runs in row blocks and must agree with one whole-array pass."""
+
+    B = CULL_BLOCK_ROWS
+    EDGE_ROWS = [B - 1, B, B + 1, 2 * B, 2 * B + 4]
+
+    @pytest.fixture(scope="class")
+    def cloud(self):
+        rng = np.random.default_rng(7)
+        pts = rng.uniform([-1.0, -4.0, -3.0], [5.0, 4.0, 3.0], size=(2 * self.B + 5, 3))
+        pts[2 * self.B + 2] = [2.0, 0.0, 0.0]  # inside, in the tail block
+        return pts
+
+    @pytest.mark.parametrize("outside", [False, True], ids=["on", "one-ulp-out"])
+    @pytest.mark.parametrize("edge", sorted(_EDGE_POINTS))
+    def test_edges_across_block_boundaries(self, cloud, edge, outside):
+        pts = cloud.copy()
+        pts[self.EDGE_ROWS] = _EDGE_POINTS[edge][outside]
+        perspective = _perspective()
+        mask = frustum_mask(pts, perspective)
+        assert mask[self.EDGE_ROWS].tolist() == [not outside] * len(self.EDGE_ROWS)
+        assert mask[2 * self.B + 2]
+        np.testing.assert_array_equal(mask, _unblocked_mask(pts, perspective))
+
+    def test_random_headings_match_whole_array_pass(self, cloud):
+        rng = np.random.default_rng(8)
+        for i in range(6):
+            perspective = Perspective(
+                i, tuple(rng.uniform(-1.0, 1.0, 3).tolist()),
+                float(rng.uniform(0.0, 360.0)), float(rng.uniform(-45.0, 45.0)), _FOV,
+            )
+            np.testing.assert_array_equal(
+                frustum_mask(cloud, perspective), _unblocked_mask(cloud, perspective)
+            )
+
+    # A product over one row may round differently from the product over
+    # many rows.  These two tests place a point whose cull result depends on
+    # that rounding where a blocked cull could compute it on its own.
+    HEADING = _perspective(viewpoint=(0.3, -0.2, 1.5), yaw=45.0, pitch=30.0)
+
+    def test_one_row_tail_rounds_as_whole_array(self, cloud):
+        forward, right, up = camera_axes(45.0, 30.0)
+        vp = np.asarray(self.HEADING.viewpoint)
+        offsets = np.random.default_rng(9).uniform(-0.2, 0.2, size=(2000, 2))
+        candidates = vp + _FOV.min_depth * forward + offsets[:, :1] * right + offsets[:, 1:] * up
+        many = (candidates - vp) @ forward >= _FOV.min_depth
+        one = np.array([((row[None] - vp) @ forward)[0] for row in candidates]) >= _FOV.min_depth
+        pts = np.vstack([cloud[: self.B], candidates[int(np.argmax(many != one))]])
+        np.testing.assert_array_equal(
+            frustum_mask(pts, self.HEADING), _unblocked_mask(pts, self.HEADING)
+        )
+
+    def test_single_depth_survivor_rounds_as_whole_array(self):
+        forward, right, up = camera_axes(45.0, 30.0)
+        vp = np.asarray(self.HEADING.viewpoint)
+        half_h = math.radians(_FOV.hfov_deg) / 2.0
+        rng = np.random.default_rng(10)
+        for _ in range(100):
+            # Sweep across the horizontal field-of-view edge in sub-ulp steps.
+            depth, height = rng.uniform(1.0, 3.0), rng.uniform(-0.5, 0.5)
+            lateral = depth * (math.tan(half_h) + np.linspace(-3e-14, 3e-14, 6001))
+            candidates = vp + depth * forward + lateral[:, None] * right + height * up
+            rel = candidates - vp
+            d = rel @ forward
+            many = np.abs(np.arctan2(rel @ right, d)) <= half_h
+            one = np.abs(np.arctan2([(row[None] @ right)[0] for row in rel], d)) <= half_h
+            if (many != one).any():
+                break
+        # Every other row of the block lies behind the camera.
+        pts = np.tile(vp - 2.0 * forward, (self.B, 1))
+        pts[17] = candidates[int(np.argmax(many != one))]
+        np.testing.assert_array_equal(
+            frustum_mask(pts, self.HEADING), _unblocked_mask(pts, self.HEADING)
+        )
+
+    def test_empty_cloud(self):
+        assert frustum_mask(np.empty((0, 3)), _perspective()).shape == (0,)
 
 
 class TestSphericalFlip:

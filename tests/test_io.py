@@ -8,6 +8,7 @@ import pytest
 
 from mvrep.io import (
     S3DIS_CATEGORIES,
+    WRITE_BLOCK_ROWS,
     CloudFormatError,
     ManifestEntry,
     MultiviewManifest,
@@ -148,6 +149,19 @@ class TestTextRoundTrip:
         f = tmp_path / "p.txt"
         write_partial_set(c, f)
         assert f.read_text() == (seven_col if with_labels else six_col)
+
+    @pytest.mark.parametrize("with_labels", [False, True], ids=["6col", "7col"])
+    def test_blocks_match_rows_written_one_at_a_time(self, tmp_path, with_labels):
+        c = small_cloud(n=2 * WRITE_BLOCK_ROWS + 3, with_labels=with_labels)
+        f = tmp_path / "p.txt"
+        write_partial_set(c, f)
+        expected = []
+        for i in range(len(c)):
+            x, y, z = (float(v) for v in c.positions[i])
+            r, g, b = (int(v) for v in c.colors[i])
+            label = f" {int(c.labels[i])}" if with_labels else ""
+            expected.append(f"{x:.6f} {y:.6f} {z:.6f} {r} {g} {b}{label}\n")
+        assert f.read_bytes() == "".join(expected).encode()
 
     def test_text_positions_are_contiguous(self, tmp_path):
         f = tmp_path / "room.txt"

@@ -1,0 +1,59 @@
+"""The calls the benchmark's tracer wraps must stay where it looks for them.
+
+``perfbench/tracing.py`` times a run by replacing module attributes, such as
+``mvrep.pipeline.frustum_mask``, with wrappers.  A rename, or a call that
+no longer goes through the attribute, silently drops that span from a
+traced run; these tests fail first instead.
+"""
+
+import importlib
+import types
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from mvrep import pipeline
+from mvrep.pipeline import PipelineConfig, generate_multiview
+from mvrep.synthetic import synthetic_room
+from mvrep.viewpoints import GridConfig, enumerate_perspectives, grid_viewpoints
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    # Compiled from the source text, so nothing is written next to it.
+    module = types.ModuleType("perfbench_tracing")
+    module.__file__ = str(TRACING)
+    exec(compile(TRACING.read_text(), str(TRACING), "exec"), module.__dict__)
+    return module
+
+
+BOUNDARIES = [(target, attr) for target, attr, _, _ in _load_tracing()._boundaries()]
+
+
+@pytest.mark.parametrize("target, attr", BOUNDARIES, ids=[f"{t}.{a}" for t, a in BOUNDARIES])
+def test_wrapped_attribute_resolves(target, attr):
+    module_name, _, cls = target.partition(":")
+    owner = importlib.import_module(module_name)
+    if cls:
+        owner = getattr(owner, cls)
+    assert callable(getattr(owner, attr, None))
+
+
+def test_generate_culls_through_pipeline_frustum_mask(monkeypatch):
+    room = synthetic_room(4_000, size=(4.0, 3.0, 2.5), seed=1)
+    config = PipelineConfig(grid=GridConfig(spacing=2.0), min_points=50, jobs=2)
+    seen = Counter()
+    original = pipeline.frustum_mask
+
+    def counting(points, perspective):
+        seen[perspective.perspective_id] += 1
+        return original(points, perspective)
+
+    monkeypatch.setattr(pipeline, "frustum_mask", counting)
+    generate_multiview(room, config)
+    perspectives = enumerate_perspectives(
+        grid_viewpoints(room.bounds, config.grid), config.grid, config.fov
+    )
+    assert seen == Counter(p.perspective_id for p in perspectives)
