@@ -97,6 +97,17 @@ class FovSpec:
                 f"need 0 < min_depth < max_depth, got {self.min_depth}, {self.max_depth}"
             )
 
+    @property
+    def reach(self) -> float:
+        """Farthest distance from the viewpoint of a point inside the frustum.
+
+        That point lies on a far corner: at depth ``max_depth``, with the
+        lateral and vertical offsets ``max_depth * tan(fov / 2)``.
+        """
+        tan_h = math.tan(math.radians(self.hfov_deg) / 2.0)
+        tan_v = math.tan(math.radians(self.vfov_deg) / 2.0)
+        return self.max_depth * math.sqrt(1.0 + tan_h * tan_h + tan_v * tan_v)
+
 
 @dataclass(frozen=True)
 class Perspective:
@@ -264,4 +275,6 @@ def convex_hull_3d(points) -> ConvexHull3:
     winding = np.einsum("ij,ij->i", np.cross(b - a, c - a), normals)
     flip = winding < 0.0
     facets[flip] = facets[flip][:, [0, 2, 1]]
-    return ConvexHull3(vertex_indices=np.unique(facets), facets=facets)
+    # Counting corner uses gives the sorted vertex set without a sort.
+    vertices = np.flatnonzero(np.bincount(facets.ravel(), minlength=n))
+    return ConvexHull3(vertex_indices=vertices, facets=facets)

@@ -14,8 +14,10 @@ manifests serialize to identical bytes.
 from __future__ import annotations
 
 import json
+import os
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -382,15 +384,34 @@ def parse_ply(path) -> PointCloud:
     )
 
 
+@contextmanager
+def _replacing(path):
+    """A text file opened beside ``path`` that replaces it once complete.
+
+    A write that fails removes the temporary file and leaves ``path`` as it
+    was, so no reader ever sees a partly written file under its name.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_partial_set(cloud: PointCloud, path) -> None:
     """Write ``x y z r g b [label]`` lines, coordinates with 6 decimals.
 
     Output bytes are a pure function of the cloud contents, so repeated
-    writes of equal clouds are byte-identical.
+    writes of equal clouds are byte-identical.  The file appears under its
+    name only once it is complete.
     """
     labelled = cloud.labels is not None
     row = "%.6f %.6f %.6f %d %d %d" + " %d" * labelled + "\n"
-    with open(path, "w") as fh:
+    with _replacing(path) as fh:
         # Rows go out in blocks so only one block is held as Python lists.
         for start in range(0, len(cloud), WRITE_BLOCK_ROWS):
             rows = slice(start, start + WRITE_BLOCK_ROWS)
@@ -436,7 +457,10 @@ class MultiviewManifest:
 
 
 def write_manifest(manifest: MultiviewManifest, path) -> None:
-    """Serialize a manifest as canonical JSON (sorted keys, sorted entries)."""
+    """Serialize a manifest as canonical JSON (sorted keys, sorted entries).
+
+    Like a partial set, the file appears under its name only once complete.
+    """
     ids = [e.perspective_id for e in manifest.entries]
     if len(set(ids)) != len(ids):
         raise ValueError(f"manifest for {manifest.room_id} has duplicate perspective ids")
@@ -450,7 +474,9 @@ def write_manifest(manifest: MultiviewManifest, path) -> None:
     doc = asdict(manifest)
     doc["entries"] = sorted(doc["entries"], key=lambda e: e["perspective_id"])
     doc["totals"] = {"original_sets": 1, "partial_sets": len(ids)}
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    with _replacing(path) as fh:
+        fh.write(text)
 
 
 def read_manifest(path) -> MultiviewManifest:

@@ -3,14 +3,17 @@
 ``generate_multiview`` runs the full chain for one room: enumerate camera
 perspectives over the room's bounds, cull each frustum, remove hidden
 points, drop perspectives below the point threshold, and assemble a
-manifest.  Perspectives are independent pure tasks over the shared
-immutable cloud; results are merged in perspective id order, so outputs are
-byte-identical for any worker count.
+manifest.  Each viewpoint's headings are culled on the points within its
+reach only, gathered once per viewpoint; then hidden point removal runs
+once per frustum that can be kept.  Both phases are pure tasks over the
+shared immutable cloud; results are merged in perspective id order, so
+outputs are byte-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
@@ -19,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .geometry import FovSpec, frustum_mask
+from .geometry import CULL_BLOCK_ROWS, FovSpec, frustum_mask
 from .hpr import visible_points
 from .io import (
     MANIFEST_SUFFIX,
@@ -45,6 +48,10 @@ logger = logging.getLogger(__name__)
 # Share of the input the kept partial sets should cover; below it a run
 # logs a warning.
 COVERAGE_TARGET = 0.80
+
+# Relative widening of a viewpoint's shell, so that rounding in a distance
+# can never drop a row that the frustum test keeps.
+SHELL_MARGIN = 1e-6
 
 
 @dataclass(frozen=True)
@@ -104,20 +111,35 @@ class FusionRecipe:
             )
 
 
-def _perspective_task(positions, perspective, radius_factor, keep_at, seed):
-    """Cull one frustum and run hidden point removal inside it.
+def _cull_viewpoint(positions, perspectives):
+    """Culled indices of each of the perspectives of one viewpoint.
 
-    The visible set is a subset of the culled one, so a frustum holding
-    fewer than ``keep_at`` points cannot be kept and skips the hull.
+    A point inside any of their frusta lies between ``min_depth`` and the
+    fov's ``reach`` from the viewpoint.  The rows of that shell are found in
+    one blocked pass and gathered once; each heading is then culled on them
+    alone.
     """
-    mask = frustum_mask(positions, perspective)
-    culled = np.flatnonzero(mask)
-    if culled.size < keep_at:
-        return culled, None
-    local = visible_points(
-        positions[culled], perspective.viewpoint, radius_factor, seed=seed
-    )
-    return culled, culled[local]
+    n = positions.shape[0]
+    # Every culled set is held until the hull phase; four-byte indices
+    # halve them whenever the cloud allows.
+    index = np.int32 if n <= np.iinfo(np.int32).max else np.intp
+    fov = perspectives[0].fov
+    vp = np.asarray(perspectives[0].viewpoint, dtype=np.float64)
+    lo = (fov.min_depth * (1.0 - SHELL_MARGIN)) ** 2
+    hi = (fov.reach * (1.0 + SHELL_MARGIN)) ** 2
+    shell = []
+    for start in range(0, n, CULL_BLOCK_ROWS):
+        rel = positions[start:start + CULL_BLOCK_ROWS] - vp
+        dist2 = np.einsum("ij,ij->i", rel, rel)
+        shell.append(start + np.flatnonzero((dist2 >= lo) & (dist2 <= hi)))
+    shell = np.concatenate(shell).astype(index)
+    if shell.size < 2:
+        # numpy rounds a one-row product differently from a many-row one,
+        # so a lone row is culled within the whole cloud.
+        shell = np.arange(n, dtype=index)
+        return [shell[frustum_mask(positions, p)] for p in perspectives]
+    rows = positions[shell]
+    return [shell[frustum_mask(rows, p)] for p in perspectives]
 
 
 def generate_multiview(
@@ -135,22 +157,45 @@ def generate_multiview(
     perspectives = enumerate_perspectives(viewpoints, config.grid, config.fov)
     keep_at = max(config.min_points, 1)
 
-    def run(p):
+    groups = [
+        list(group)
+        for _, group in itertools.groupby(perspectives, key=lambda p: p.viewpoint)
+    ]
+
+    def hidden_point_removal(task):
+        perspective, culled = task
         # Seed is derived per perspective so results do not depend on the
         # order in which workers pick up tasks.
-        return _perspective_task(
-            positions, p, config.radius_factor, keep_at, seed=(config.seed, p.perspective_id)
+        local = visible_points(
+            positions[culled],
+            perspective.viewpoint,
+            config.radius_factor,
+            seed=(config.seed, perspective.perspective_id),
         )
+        return perspective.perspective_id, culled[local]
 
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-        results = list(pool.map(run, perspectives))
+        culled_sets = list(
+            itertools.chain.from_iterable(
+                pool.map(lambda group: _cull_viewpoint(positions, group), groups)
+            )
+        )
+        # The visible set is a subset of the culled one, so a frustum holding
+        # fewer than keep_at points cannot be kept and skips the hull.
+        visible_sets = dict(
+            pool.map(
+                hidden_point_removal,
+                [t for t in zip(perspectives, culled_sets) if t[1].size >= keep_at],
+            )
+        )
 
     in_any_frustum = np.zeros(len(cloud), dtype=bool)
     covered = np.zeros(len(cloud), dtype=bool)
     partials: list[PointCloud] = []
     entries: list[ManifestEntry] = []
-    for perspective, (culled, visible) in zip(perspectives, results):
+    for perspective, culled in zip(perspectives, culled_sets):
         in_any_frustum[culled] = True
+        visible = visible_sets.get(perspective.perspective_id)
         if visible is None or visible.size < keep_at:
             continue
         covered[visible] = True
@@ -205,7 +250,11 @@ def write_outputs(
     manifest: MultiviewManifest,
     out_dir,
 ) -> Path:
-    """Write every partial set plus the manifest; returns the manifest path."""
+    """Write every partial set, then the manifest; returns the manifest path.
+
+    Each file appears only once complete and the manifest comes last, so a
+    run that fails part way leaves no manifest behind.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for cloud, entry in zip(partials, manifest.entries):

@@ -163,6 +163,20 @@ class TestTextRoundTrip:
             expected.append(f"{x:.6f} {y:.6f} {z:.6f} {r} {g} {b}{label}\n")
         assert f.read_bytes() == "".join(expected).encode()
 
+    def test_failed_write_keeps_the_previous_file(self, tmp_path):
+        f = tmp_path / "p.txt"
+        write_partial_set(small_cloud(), f)
+        before = f.read_bytes()
+        # Whole blocks go out before the row format rejects the NaN label.
+        bad = small_cloud(n=2 * WRITE_BLOCK_ROWS + 3)
+        labels = bad.labels.astype(float)
+        labels[-1] = np.nan
+        object.__setattr__(bad, "labels", labels)
+        with pytest.raises(ValueError):
+            write_partial_set(bad, f)
+        assert f.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["p.txt"]
+
     def test_text_positions_are_contiguous(self, tmp_path):
         f = tmp_path / "room.txt"
         write_partial_set(small_cloud(), f)

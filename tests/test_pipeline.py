@@ -1,10 +1,13 @@
 """End-to-end generation pipeline and training-list fusion."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 from mvrep import pipeline
-from mvrep.geometry import FovSpec, frustum_mask
+from mvrep.geometry import FovSpec, Perspective, camera_axes, frustum_mask
 from mvrep.io import parse_s3dis_room, read_manifest
 from mvrep.pipeline import (
     FusionRecipe,
@@ -143,6 +146,107 @@ class TestGenerateMultiview:
         assert all(e.point_count >= 1 for e in manifest.entries)
 
 
+def _shell_culls(positions, perspectives):
+    """Culled indices per perspective, one viewpoint's headings at a time."""
+    culls = []
+    for _, group in itertools.groupby(perspectives, key=lambda p: p.viewpoint):
+        culls.extend(pipeline._cull_viewpoint(positions, list(group)))
+    return culls
+
+
+def _assert_shell_culls_exact(positions, perspectives):
+    for perspective, culled in zip(perspectives, _shell_culls(positions, perspectives)):
+        np.testing.assert_array_equal(
+            culled, np.flatnonzero(frustum_mask(positions, perspective))
+        )
+
+
+# Steps of a few ulps across a bound, in units of that bound.
+_ULP_STEPS = 1.0 + np.linspace(-8e-15, 8e-15, 33)
+
+
+def _extreme_inside_points(perspective):
+    """The nearest and the farthest point the frustum keeps, from two fans.
+
+    One fan runs straight ahead across ``min_depth``, the other along the
+    four far corner rays across ``max_depth``, so the farthest kept point is
+    as far away as the fov's ``reach`` up to rounding.
+    """
+    fov = perspective.fov
+    forward, right, up = camera_axes(perspective.yaw_deg, perspective.pitch_deg)
+    vp = np.asarray(perspective.viewpoint)
+    tan_h = math.tan(math.radians(fov.hfov_deg) / 2.0)
+    tan_v = math.tan(math.radians(fov.vfov_deg) / 2.0)
+    near = vp + (fov.min_depth * _ULP_STEPS)[:, None] * forward
+    far = np.vstack([
+        vp + (fov.max_depth * _ULP_STEPS)[:, None]
+        * (forward + shrink * (h * tan_h * right + v * tan_v * up))
+        for h, v in itertools.product((1.0, -1.0), repeat=2)
+        for shrink in 1.0 - 2e-16 * np.arange(9)
+    ])
+    picked = []
+    for fan, pick in ((near, np.argmin), (far, np.argmax)):
+        kept = fan[frustum_mask(fan, perspective)]
+        rel = kept - vp
+        picked.append(kept[pick(np.einsum("ij,ij->i", rel, rel))])
+    return picked
+
+
+SHELL_FOVS = {
+    "default": FovSpec(),
+    "wide-170": FovSpec(hfov_deg=170.0, vfov_deg=170.0),
+    "narrow-10-deep-20": FovSpec(hfov_deg=10.0, vfov_deg=10.0, max_depth=20.0),
+}
+
+
+class TestViewpointShell:
+    """A viewpoint's headings are culled on the rows within its reach only;
+    the culls must equal those of the whole cloud."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("fov", SHELL_FOVS.values(), ids=SHELL_FOVS)
+    def test_random_room_with_points_on_the_shell_bounds(self, fov, seed):
+        room = synthetic_room(4_000, size=(3 * fov.max_depth, 2 * fov.max_depth, 3.0), seed=seed)
+        grid = GridConfig(spacing=fov.max_depth)
+        perspectives = enumerate_perspectives(grid_viewpoints(room.bounds, grid), grid, fov)
+        planted = np.array(
+            [pt for p in perspectives for pt in _extreme_inside_points(p)]
+        )
+        positions = np.vstack([room.positions, planted])
+        # Some planted points must fall outside the shell without its
+        # margin, or this test could not see the margin go missing.
+        rel = planted - np.repeat([p.viewpoint for p in perspectives], 2, axis=0)
+        dist2 = np.einsum("ij,ij->i", rel, rel)
+        assert ((dist2 < fov.min_depth**2) | (dist2 > fov.reach**2)).any()
+        _assert_shell_culls_exact(positions, perspectives)
+
+    @pytest.mark.parametrize("fov", SHELL_FOVS.values(), ids=SHELL_FOVS)
+    def test_reach_is_the_far_corner_distance(self, fov):
+        perspective = Perspective(0, (0.0, 0.0, 0.0), 0.0, 0.0, fov)
+        corner = _extreme_inside_points(perspective)[1]
+        assert np.linalg.norm(corner) == pytest.approx(fov.reach, rel=1e-12)
+
+    def test_lone_shell_row_is_culled_within_the_whole_cloud(self):
+        # numpy rounds a one-row product differently from a many-row one.
+        # Pick a point whose depth lands on either side of min_depth between
+        # the two, and put every other row far beyond the reach.
+        fov = FovSpec()
+        perspective = Perspective(0, (0.3, -0.2, 1.5), 45.0, 30.0, fov)
+        forward, right, up = camera_axes(45.0, 30.0)
+        vp = np.asarray(perspective.viewpoint)
+        offsets = np.random.default_rng(9).uniform(-0.2, 0.2, size=(2000, 2))
+        candidates = vp + fov.min_depth * forward + offsets[:, :1] * right + offsets[:, 1:] * up
+        many = (candidates - vp) @ forward >= fov.min_depth
+        one = np.array([((row[None] - vp) @ forward)[0] for row in candidates]) >= fov.min_depth
+        assert (many != one).any()
+        lone = candidates[int(np.argmax(many != one))]
+        far_away = vp + 10.0 * fov.reach * forward + np.arange(50)[:, None] * right
+        positions = np.vstack([far_away, lone, far_away])
+        dist = np.linalg.norm(positions - vp, axis=1)
+        assert np.count_nonzero((dist >= fov.min_depth) & (dist <= fov.reach)) == 1
+        _assert_shell_culls_exact(positions, [perspective])
+
+
 class TestWriteOutputs:
     def test_round_trip(self, generated, tmp_path):
         partials, manifest = generated
@@ -158,6 +262,28 @@ class TestWriteOutputs:
         )
         np.testing.assert_array_equal(cloud.colors, partials[0].colors)
         np.testing.assert_array_equal(cloud.labels, partials[0].labels)
+
+    def test_failed_partial_write_leaves_no_manifest(self, generated, tmp_path, monkeypatch):
+        partials, manifest = generated
+        real = pipeline.write_partial_set
+        calls = []
+
+        def failing_second(cloud, path):
+            calls.append(path)
+            if len(calls) == 2:
+                # The row format rejects a NaN label part way through the file.
+                labels = cloud.labels.astype(float)
+                labels[-1] = np.nan
+                cloud = cloud.subset(np.arange(len(cloud)))
+                object.__setattr__(cloud, "labels", labels)
+            return real(cloud, path)
+
+        monkeypatch.setattr(pipeline, "write_partial_set", failing_second)
+        out = tmp_path / "out"
+        with pytest.raises(ValueError):
+            write_outputs(partials, manifest, out)
+        assert len(calls) == 2
+        assert sorted(p.name for p in out.iterdir()) == [manifest.entries[0].file_path]
 
 
 class TestFuseTrainingSet:

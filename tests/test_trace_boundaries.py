@@ -16,7 +16,7 @@ import pytest
 from mvrep import pipeline
 from mvrep.pipeline import PipelineConfig, generate_multiview
 from mvrep.synthetic import synthetic_room
-from mvrep.viewpoints import GridConfig, enumerate_perspectives, grid_viewpoints
+from mvrep.viewpoints import enumerate_perspectives, grid_viewpoints
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -42,18 +42,25 @@ def test_wrapped_attribute_resolves(target, attr):
 
 
 def test_generate_culls_through_pipeline_frustum_mask(monkeypatch):
-    room = synthetic_room(4_000, size=(4.0, 3.0, 2.5), seed=1)
-    config = PipelineConfig(grid=GridConfig(spacing=2.0), min_points=50, jobs=2)
-    seen = Counter()
+    # Each viewpoint's headings are culled on the rows within its reach: in
+    # a room wider than twice the reach, every call sees only part of it.
+    room = synthetic_room(4_000, size=(12.0, 9.0, 2.5), seed=1)
     original = pipeline.frustum_mask
+    for jobs in (1, 2):
+        config = PipelineConfig(min_points=50, jobs=jobs)
+        assert 2 * config.fov.reach < 12.0
+        seen = Counter()
+        rows = []
 
-    def counting(points, perspective):
-        seen[perspective.perspective_id] += 1
-        return original(points, perspective)
+        def counting(points, perspective):
+            seen[perspective.perspective_id] += 1
+            rows.append(len(points))
+            return original(points, perspective)
 
-    monkeypatch.setattr(pipeline, "frustum_mask", counting)
-    generate_multiview(room, config)
-    perspectives = enumerate_perspectives(
-        grid_viewpoints(room.bounds, config.grid), config.grid, config.fov
-    )
-    assert seen == Counter(p.perspective_id for p in perspectives)
+        monkeypatch.setattr(pipeline, "frustum_mask", counting)
+        generate_multiview(room, config)
+        perspectives = enumerate_perspectives(
+            grid_viewpoints(room.bounds, config.grid), config.grid, config.fov
+        )
+        assert seen == Counter(p.perspective_id for p in perspectives)
+        assert max(rows) < len(room)
