@@ -156,10 +156,10 @@ def cmd_generate(args) -> int:
     values = _merged_generate_values(args)
     config = _pipeline_config(values)
     cloud = _load_cloud(args.input, args.format, with_labels=values.get("with_labels", False))
-    partials, manifest = generate_multiview(cloud, config)
+    kept, manifest = generate_multiview(cloud, config)
     manifest = replace(manifest, source_path=str(Path(args.input).resolve()))
-    manifest_path = write_outputs(partials, manifest, args.out)
-    print(f"{cloud.room_id}: kept {len(partials)} partial sets, manifest {manifest_path}")
+    manifest_path = write_outputs(cloud, kept, manifest, args.out)
+    print(f"{cloud.room_id}: kept {len(kept)} partial sets, manifest {manifest_path}")
     return 0
 
 

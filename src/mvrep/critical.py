@@ -180,14 +180,17 @@ def verify_subset_invariance(
     report = _critical_report(feats, bank)
     if not (feats <= report.u[None, :]).all():
         raise AssertionError("upper-mask predicate violated by a cloud point")
-    others = np.setdiff1d(np.arange(pos.shape[0]), report.critical_indices)
+    critical = np.zeros(pos.shape[0], dtype=bool)
+    critical[report.critical_indices] = True
+    others = np.flatnonzero(~critical)
     rng = np.random.default_rng(seed)
     failures = []
     for trial in range(trials):
-        extra = rng.choice(
-            others, size=int(rng.integers(0, others.size + 1)), replace=False
-        ) if others.size else np.empty(0, dtype=np.intp)
-        subset = np.union1d(report.critical_indices, extra).astype(np.intp)
+        subset = critical.copy()
+        if others.size:
+            subset[rng.choice(
+                others, size=int(rng.integers(0, others.size + 1)), replace=False
+            )] = True
         if not np.array_equal(feats[subset].max(axis=0), report.u):
             failures.append(trial)
     return InvarianceReport(

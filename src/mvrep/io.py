@@ -35,6 +35,7 @@ __all__ = [
     "MultiviewManifest",
     "parse_s3dis_room",
     "parse_ply",
+    "format_lines",
     "write_partial_set",
     "write_manifest",
     "read_manifest",
@@ -44,8 +45,8 @@ __all__ = [
 
 MANIFEST_SUFFIX = "_manifest.json"
 
-# Rows per block written by ``write_partial_set``.
-WRITE_BLOCK_ROWS = 1 << 16
+# Rows per block formatted and written by ``write_partial_set``.
+WRITE_BLOCK_ROWS = 1 << 13
 
 # Native room-scan annotation categories; unknown object names map to clutter.
 S3DIS_CATEGORIES = (
@@ -386,7 +387,7 @@ def parse_ply(path) -> PointCloud:
 
 @contextmanager
 def _replacing(path):
-    """A text file opened beside ``path`` that replaces it once complete.
+    """A binary file opened beside ``path`` that replaces it once complete.
 
     A write that fails removes the temporary file and leaves ``path`` as it
     was, so no reader ever sees a partly written file under its name.
@@ -394,7 +395,7 @@ def _replacing(path):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")
     try:
-        with open(tmp, "w") as fh:
+        with open(tmp, "wb") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -402,23 +403,66 @@ def _replacing(path):
         raise
 
 
-def write_partial_set(cloud: PointCloud, path) -> None:
-    """Write ``x y z r g b [label]`` lines, coordinates with 6 decimals.
+def _line_blocks(cloud: PointCloud, rows):
+    """``x y z r g b [label]`` lines of ``cloud``'s ``rows``, coordinates
+    with 6 decimals, as one NUL-padded bytes array per block of rows.
 
-    Output bytes are a pure function of the cloud contents, so repeated
-    writes of equal clouds are byte-identical.  The file appears under its
-    name only once it is complete.
+    This is the one statement of the partial-set row format.  Rows go in
+    ``WRITE_BLOCK_ROWS`` blocks so only one block is held as Python lists.
     """
     labelled = cloud.labels is not None
     row = "%.6f %.6f %.6f %d %d %d" + " %d" * labelled + "\n"
+    for start in range(0, len(rows), WRITE_BLOCK_ROWS):
+        block = rows[start:start + WRITE_BLOCK_ROWS]
+        columns = cloud.positions[block].T.tolist() + cloud.colors[block].T.tolist()
+        if labelled:
+            columns.append(cloud.labels[block].tolist())
+        yield np.array([row % values for values in zip(*columns)], dtype=np.bytes_)
+
+
+def format_lines(cloud: PointCloud, rows) -> np.ndarray:
+    """The partial-set lines of ``cloud``'s ``rows``, formatted once.
+
+    The result is a fixed-width bytes array with one NUL-padded line per
+    row, so a line costs the width of the longest line ``cloud`` can print
+    rather than a Python string.  Indexing it selects lines;
+    ``write_partial_set`` writes them.
+    """
+    # ``%.6f`` rounds correctly, so no coordinate prints longer than its
+    # axis's largest magnitude with a minus sign, and no color than 255.
+    # Allocating that width up front holds the lines once, not twice.
+    magnitude = np.maximum(np.abs(cloud.bounds.lo), np.abs(cloud.bounds.hi))
+    widest = PointCloud(
+        positions=-magnitude[None],
+        colors=np.full((1, 3), 255, dtype=np.uint8),
+        labels=None if cloud.labels is None else [
+            max(cloud.labels.min(), cloud.labels.max(), key=lambda v: len(str(v)))
+        ],
+    )
+    lines = np.empty(len(rows), dtype=next(_line_blocks(widest, [0])).dtype)
+    start = 0
+    for block in _line_blocks(cloud, rows):
+        lines[start:start + len(block)] = block
+        start += len(block)
+    return lines
+
+
+def write_partial_set(points, path) -> None:
+    """Write a partial set: one ``x y z r g b [label]`` line per point.
+
+    ``points`` is a ``PointCloud``, or lines from ``format_lines``.  Output
+    bytes are a pure function of the points, so repeated writes of equal
+    clouds are byte-identical.  The file appears under its name only once
+    it is complete.
+    """
+    if isinstance(points, PointCloud):
+        blocks = _line_blocks(points, np.arange(len(points)))
+    else:
+        blocks = (points[s:s + WRITE_BLOCK_ROWS] for s in range(0, len(points), WRITE_BLOCK_ROWS))
     with _replacing(path) as fh:
-        # Rows go out in blocks so only one block is held as Python lists.
-        for start in range(0, len(cloud), WRITE_BLOCK_ROWS):
-            rows = slice(start, start + WRITE_BLOCK_ROWS)
-            columns = cloud.positions[rows].T.tolist() + cloud.colors[rows].T.tolist()
-            if labelled:
-                columns.append(cloud.labels[rows].tolist())
-            fh.writelines(row % values for values in zip(*columns))
+        for lines in blocks:
+            raw = lines.view(np.uint8)
+            fh.write(raw[raw != 0].tobytes())
 
 
 def partial_filename(room_id: str, perspective_id: int, yaw_deg: float, pitch_deg: float) -> str:
@@ -476,7 +520,7 @@ def write_manifest(manifest: MultiviewManifest, path) -> None:
     doc["totals"] = {"original_sets": 1, "partial_sets": len(ids)}
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     with _replacing(path) as fh:
-        fh.write(text)
+        fh.write(text.encode())
 
 
 def read_manifest(path) -> MultiviewManifest:

@@ -8,6 +8,11 @@ reach only, gathered once per viewpoint; then hidden point removal runs
 once per frustum that can be kept.  Both phases are pure tasks over the
 shared immutable cloud; results are merged in perspective id order, so
 outputs are byte-identical for any worker count.
+
+A kept partial set is a sorted index array into the input cloud, never a
+copy of its rows.  ``write_outputs(cloud, kept, manifest, out_dir)``
+formats every row that any kept set holds once, then writes each partial
+file from those lines and the manifest last.
 """
 
 from __future__ import annotations
@@ -29,6 +34,7 @@ from .io import (
     ManifestEntry,
     MultiviewManifest,
     PointCloud,
+    format_lines,
     partial_filename,
     write_manifest,
     write_partial_set,
@@ -144,13 +150,14 @@ def _cull_viewpoint(positions, perspectives):
 
 def generate_multiview(
     cloud: PointCloud, config: PipelineConfig
-) -> tuple[list[PointCloud], MultiviewManifest]:
+) -> tuple[list[np.ndarray], MultiviewManifest]:
     """All kept partial sets of a room plus the manifest describing them.
 
     A perspective is kept when its visible point count reaches
     ``config.min_points`` (with a floor of one point, so empty visibility
-    never emits).  Partial clouds are index subsets of the input and keep
-    positions, colors, and labels bit-for-bit.
+    never emits).  Each kept partial set is the sorted array of its row
+    indices into ``cloud``, in the order of the manifest's entries; the
+    rows themselves are not copied.
     """
     positions = cloud.positions
     viewpoints = grid_viewpoints(cloud.bounds, config.grid)
@@ -191,7 +198,7 @@ def generate_multiview(
 
     in_any_frustum = np.zeros(len(cloud), dtype=bool)
     covered = np.zeros(len(cloud), dtype=bool)
-    partials: list[PointCloud] = []
+    kept: list[np.ndarray] = []
     entries: list[ManifestEntry] = []
     for perspective, culled in zip(perspectives, culled_sets):
         in_any_frustum[culled] = True
@@ -199,7 +206,7 @@ def generate_multiview(
         if visible is None or visible.size < keep_at:
             continue
         covered[visible] = True
-        partials.append(cloud.subset(visible))
+        kept.append(visible)
         entries.append(
             ManifestEntry(
                 perspective_id=perspective.perspective_id,
@@ -242,23 +249,44 @@ def generate_multiview(
         config=config.echo(),
         coverage=coverage,
     )
-    return partials, manifest
+    return kept, manifest
 
 
 def write_outputs(
-    partials: list[PointCloud],
+    cloud: PointCloud,
+    kept: list[np.ndarray],
     manifest: MultiviewManifest,
     out_dir,
 ) -> Path:
-    """Write every partial set, then the manifest; returns the manifest path.
+    """Write every kept partial set of ``cloud``, then the manifest; returns
+    the manifest path.
 
-    Each file appears only once complete and the manifest comes last, so a
-    run that fails part way leaves no manifest behind.
+    ``kept`` holds one index array per manifest entry, as
+    ``generate_multiview`` returns them.  Kept sets overlap heavily, so
+    every row that any of them holds is formatted once and each file is
+    written from those lines.  Each file appears only once complete and the
+    manifest comes last, so a run that fails part way leaves no manifest
+    behind.
     """
+    if len(kept) != len(manifest.entries):
+        raise ValueError(
+            f"{len(kept)} kept sets for {len(manifest.entries)} manifest entries"
+        )
+    for rows, entry in zip(kept, manifest.entries):
+        if len(rows) != entry.point_count:
+            raise ValueError(
+                f"kept set of perspective {entry.perspective_id} has {len(rows)} "
+                f"points, its manifest entry {entry.point_count}"
+            )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for cloud, entry in zip(partials, manifest.entries):
-        write_partial_set(cloud, out / entry.file_path)
+    covered = np.zeros(len(cloud), dtype=bool)
+    for rows in kept:
+        covered[rows] = True
+    covered_rows = np.flatnonzero(covered)
+    lines = format_lines(cloud, covered_rows)
+    for rows, entry in zip(kept, manifest.entries):
+        write_partial_set(lines[np.searchsorted(covered_rows, rows)], out / entry.file_path)
     manifest_path = out / f"{manifest.room_id}{MANIFEST_SUFFIX}"
     write_manifest(manifest, manifest_path)
     return manifest_path

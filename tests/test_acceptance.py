@@ -260,16 +260,16 @@ def million_point_runs(tmp_path_factory):
     config = PipelineConfig()
 
     start = time.perf_counter()
-    partials, first = generate_multiview(room, config)
+    kept, first = generate_multiview(room, config)
     single_seconds = time.perf_counter() - start
-    del partials
+    del kept
 
     _, repeat = generate_multiview(room, config)
 
     start = time.perf_counter()
-    partials, eight = generate_multiview(room, replace(config, jobs=8))
+    kept, eight = generate_multiview(room, replace(config, jobs=8))
     eight_seconds = time.perf_counter() - start
-    del partials
+    del kept
 
     return SimpleNamespace(
         first=first,
@@ -317,8 +317,8 @@ class TestStatsTable:
         counts = {}
         for room_id in ("Area_1_office_3", "Area_2_hallway_1"):
             room = synthetic_room(6_000, size=(4.0, 3.0, 2.5), seed=6, room_id=room_id)
-            partials, manifest = generate_multiview(room, config)
-            write_outputs(partials, manifest, tmp_path)
+            kept, manifest = generate_multiview(room, config)
+            write_outputs(room, kept, manifest, tmp_path)
             counts[room_id.split("_office")[0].split("_hallway")[0]] = len(
                 manifest.entries
             )

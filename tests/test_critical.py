@@ -1,5 +1,7 @@
 """Critical sets, subset invariance, and the embedding monotonicity chain."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -29,6 +31,9 @@ FIXTURE = np.array(
 def random_cloud(seed, n=64):
     rng = np.random.default_rng(seed)
     return rng.uniform(-1.0, 2.0, size=(n, 3))
+
+
+CLOUD_5K = random_cloud(5, n=5_000)
 
 
 class TestFeatureBank:
@@ -122,6 +127,66 @@ class TestSubsetInvariance:
         assert d["passed"] is True
         assert d["trials"] == 5
         assert len(d["u"]) == 4
+
+    @pytest.mark.parametrize(
+        "points, bank, trials",
+        [
+            (CLOUD_5K, FeatureBank.rbf(bounding_box(CLOUD_5K), k=16), 10),
+            (np.eye(3), FeatureBank.coordinates((0, 1, 2)), 4),
+        ],
+        ids=["random-5k", "all-critical"],
+    )
+    def test_matches_sorted_set_reference(self, points, bank, trials, monkeypatch):
+        # The trials draw the same subsets, from the same calls on the same
+        # population, as building each one with union1d from setdiff1d's
+        # complement of the critical set.
+        feats = bank.evaluate(points)
+        report = critical_set(points, bank)
+        others = np.setdiff1d(np.arange(len(points)), report.critical_indices)
+        rng = np.random.default_rng(3)
+        expected_draws, failures = [], []
+        for trial in range(trials):
+            extra = np.empty(0, dtype=np.intp)
+            if others.size:
+                size = int(rng.integers(0, others.size + 1))
+                extra = rng.choice(others, size=size, replace=False)
+                expected_draws.append((others, size, extra))
+            subset = np.union1d(report.critical_indices, extra).astype(np.intp)
+            if not np.array_equal(feats[subset].max(axis=0), report.u):
+                failures.append(trial)
+        expected = {
+            "trials": trials,
+            "failures": failures,
+            "passed": not failures,
+            "u": [float(v) for v in report.u],
+            "critical_indices": [int(i) for i in report.critical_indices],
+        }
+
+        draws = []
+        real_rng = np.random.default_rng
+
+        class RecordingRng:
+            def __init__(self, seed):
+                self.rng = real_rng(seed)
+
+            def integers(self, *args, **kwargs):
+                return self.rng.integers(*args, **kwargs)
+
+            def choice(self, population, size, replace):
+                picked = self.rng.choice(population, size=size, replace=replace)
+                draws.append((np.array(population), size, picked))
+                return picked
+
+        monkeypatch.setattr(np.random, "default_rng", RecordingRng)
+        got = verify_subset_invariance(points, bank, trials=trials, seed=3).to_dict()
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert len(draws) == len(expected_draws) == (trials if others.size else 0)
+        for (population, size, picked), (want_population, want_size, want) in zip(
+            draws, expected_draws
+        ):
+            np.testing.assert_array_equal(population, want_population)
+            assert size == want_size
+            np.testing.assert_array_equal(picked, want)
 
     @given(st.integers(0, 10_000))
     def test_any_superset_of_critical_reproduces_u(self, seed):

@@ -42,9 +42,9 @@ def test_generate_outputs_match_golden(room, tmp_path, jobs):
     config = PipelineConfig(
         grid=GridConfig(spacing=2.0), min_points=50, radius_factor=1000.0, seed=0, jobs=jobs
     )
-    partials, manifest = generate_multiview(room, config)
+    kept, manifest = generate_multiview(room, config)
     assert manifest.source_path == ""
-    write_outputs(partials, manifest, tmp_path)
+    write_outputs(room, kept, manifest, tmp_path)
     assert tree_digest(tmp_path) == GENERATE_SHA256
 
 

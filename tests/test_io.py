@@ -14,6 +14,7 @@ from mvrep.io import (
     MultiviewManifest,
     PointCloud,
     area_of,
+    format_lines,
     parse_ply,
     parse_s3dis_room,
     partial_filename,
@@ -136,6 +137,12 @@ class TestTextRoundTrip:
                 "1.000001 123456.789012 -123456.789012 255 0 255 12\n",
                 id="decimal-tie",
             ),
+            pytest.param(
+                (-9.9999996, -99.9999999, -0.0), (255, 255, 255), -10,
+                "-10.000000 -100.000000 -0.000000 255 255 255\n",
+                "-10.000000 -100.000000 -0.000000 255 255 255 -10\n",
+                id="widest-carry",
+            ),
         ],
     )
     def test_six_decimal_coordinates(
@@ -149,6 +156,22 @@ class TestTextRoundTrip:
         f = tmp_path / "p.txt"
         write_partial_set(c, f)
         assert f.read_text() == (seven_col if with_labels else six_col)
+        # The formatted-once lines are as wide as the widest line can be.
+        write_partial_set(format_lines(c, [0]), f)
+        assert f.read_text() == (seven_col if with_labels else six_col)
+
+    def test_formatted_lines_hold_the_widest_label(self, tmp_path):
+        # The longest label is the smallest one here, in the widest row.
+        c = PointCloud(
+            positions=np.array([[-9.9999996, -99.9999999, -0.0], [1.0, 2.0, 3.0]]),
+            colors=np.array([[255, 255, 255], [0, 0, 0]], dtype=np.uint8),
+            labels=np.array([-10, 12]),
+        )
+        whole, once = tmp_path / "whole.txt", tmp_path / "once.txt"
+        write_partial_set(c, whole)
+        write_partial_set(format_lines(c, np.arange(len(c))), once)
+        assert once.read_bytes() == whole.read_bytes()
+        assert whole.read_text().splitlines()[0].endswith(" -10")
 
     @pytest.mark.parametrize("with_labels", [False, True], ids=["6col", "7col"])
     def test_blocks_match_rows_written_one_at_a_time(self, tmp_path, with_labels):

@@ -8,7 +8,14 @@ import pytest
 
 from mvrep import pipeline
 from mvrep.geometry import FovSpec, Perspective, camera_axes, frustum_mask
-from mvrep.io import parse_s3dis_room, read_manifest
+from mvrep.io import (
+    WRITE_BLOCK_ROWS,
+    ManifestEntry,
+    MultiviewManifest,
+    PointCloud,
+    parse_s3dis_room,
+    read_manifest,
+)
 from mvrep.pipeline import (
     FusionRecipe,
     PipelineConfig,
@@ -69,22 +76,22 @@ class TestPipelineConfig:
 
 class TestGenerateMultiview:
     def test_entries_match_partials(self, room, generated):
-        partials, manifest = generated
-        assert len(partials) == len(manifest.entries)
-        assert len(partials) > 0
+        kept, manifest = generated
+        assert len(kept) == len(manifest.entries)
+        assert len(kept) > 0
         assert manifest.room_id == room.room_id
         assert manifest.original_count == len(room)
-        for cloud, entry in zip(partials, manifest.entries):
-            assert len(cloud) == entry.point_count
+        for rows, entry in zip(kept, manifest.entries):
+            assert len(rows) == entry.point_count
             assert entry.point_count >= 50
-            assert cloud.room_id == room.room_id
 
     def test_partials_are_exact_subsets(self, room, generated):
-        partials, _ = generated
-        pool = {row.tobytes() for row in room.positions}
-        sample = partials[0]
-        assert all(row.tobytes() in pool for row in sample.positions)
-        assert sample.labels is not None
+        # A kept set is a sorted array of distinct row indices into the room.
+        kept, _ = generated
+        for rows in kept:
+            assert rows.dtype.kind == "i"
+            assert (np.diff(rows) > 0).all()
+            assert 0 <= rows[0] and rows[-1] < len(room)
 
     def test_perspective_ids_strictly_increase(self, generated):
         _, manifest = generated
@@ -99,9 +106,9 @@ class TestGenerateMultiview:
     def test_worker_count_does_not_change_bytes(self, room, tmp_path):
         dirs = []
         for jobs in (1, 4):
-            partials, manifest = generate_multiview(room, small_config(jobs=jobs))
+            kept, manifest = generate_multiview(room, small_config(jobs=jobs))
             out = tmp_path / f"jobs{jobs}"
-            write_outputs(partials, manifest, out)
+            write_outputs(room, kept, manifest, out)
             dirs.append(out)
         names = sorted(p.name for p in dirs[0].iterdir())
         assert names == sorted(p.name for p in dirs[1].iterdir())
@@ -141,8 +148,8 @@ class TestGenerateMultiview:
         assert min(hpr_inputs) >= config.min_points
 
     def test_min_points_floor_drops_empty_views(self, room):
-        partials, manifest = generate_multiview(room, small_config(min_points=0))
-        assert all(len(p) >= 1 for p in partials)
+        kept, manifest = generate_multiview(room, small_config(min_points=0))
+        assert all(len(rows) >= 1 for rows in kept)
         assert all(e.point_count >= 1 for e in manifest.entries)
 
 
@@ -248,9 +255,9 @@ class TestViewpointShell:
 
 
 class TestWriteOutputs:
-    def test_round_trip(self, generated, tmp_path):
-        partials, manifest = generated
-        path = write_outputs(partials, manifest, tmp_path / "out")
+    def test_round_trip(self, room, generated, tmp_path):
+        kept, manifest = generated
+        path = write_outputs(room, kept, manifest, tmp_path / "out")
         assert path.name == f"{manifest.room_id}_manifest.json"
         loaded = read_manifest(path)
         assert loaded == manifest
@@ -258,32 +265,94 @@ class TestWriteOutputs:
         cloud = parse_s3dis_room(path.parent / first.file_path, with_labels=True)
         assert len(cloud) == first.point_count
         np.testing.assert_allclose(
-            cloud.positions, partials[0].positions, atol=5e-7
+            cloud.positions, room.positions[kept[0]], atol=5e-7
         )
-        np.testing.assert_array_equal(cloud.colors, partials[0].colors)
-        np.testing.assert_array_equal(cloud.labels, partials[0].labels)
+        np.testing.assert_array_equal(cloud.colors, room.colors[kept[0]])
+        np.testing.assert_array_equal(cloud.labels, room.labels[kept[0]])
 
-    def test_failed_partial_write_leaves_no_manifest(self, generated, tmp_path, monkeypatch):
-        partials, manifest = generated
+    def test_failed_partial_write_leaves_no_manifest(self, room, generated, tmp_path, monkeypatch):
+        kept, manifest = generated
         real = pipeline.write_partial_set
         calls = []
 
-        def failing_second(cloud, path):
+        def failing_second(lines, path):
             calls.append(path)
             if len(calls) == 2:
                 # The row format rejects a NaN label part way through the file.
+                cloud = room.subset(kept[1])
                 labels = cloud.labels.astype(float)
                 labels[-1] = np.nan
-                cloud = cloud.subset(np.arange(len(cloud)))
                 object.__setattr__(cloud, "labels", labels)
-            return real(cloud, path)
+                return real(cloud, path)
+            return real(lines, path)
 
         monkeypatch.setattr(pipeline, "write_partial_set", failing_second)
         out = tmp_path / "out"
         with pytest.raises(ValueError):
-            write_outputs(partials, manifest, out)
+            write_outputs(room, kept, manifest, out)
         assert len(calls) == 2
         assert sorted(p.name for p in out.iterdir()) == [manifest.entries[0].file_path]
+
+    @pytest.mark.parametrize("with_labels", [False, True], ids=["6col", "7col"])
+    def test_overlapping_sets_match_rows_formatted_one_at_a_time(self, tmp_path, with_labels):
+        n = 2 * WRITE_BLOCK_ROWS + 50
+        rng = np.random.default_rng(4)
+        positions = rng.uniform(-5.0, 5.0, size=(n, 3))
+        edge = [-0.0, -4e-7, 0.0078125, 1e9 + 0.1234565, -1e9 - 0.5, 999_999_999.9999996]
+        positions[:len(edge), 0] = edge
+        positions[n - len(edge):, 2] = edge
+        labels = rng.integers(0, 13, size=n)
+        labels[:2] = (0, 12)
+        cloud = PointCloud(
+            positions=positions,
+            colors=rng.integers(0, 256, size=(n, 3)),
+            labels=labels if with_labels else None,
+            room_id="edge",
+        )
+        kept = [
+            np.arange(WRITE_BLOCK_ROWS - 7, 2 * WRITE_BLOCK_ROWS + 9),
+            np.arange(0, n, 3),
+            np.flatnonzero(rng.random(n) < 0.5),
+            np.r_[0:len(edge), n - len(edge):n],
+        ]
+        entries = tuple(
+            ManifestEntry(i, (0.0, 0.0, 0.0), 0.0, 0.0, len(rows), f"edge_v{i}.txt")
+            for i, rows in enumerate(kept)
+        )
+        manifest = MultiviewManifest("edge", n, entries, "0" * 16, 0, {"min_points": 0})
+        write_outputs(cloud, kept, manifest, tmp_path)
+        for rows, entry in zip(kept, entries):
+            expected = []
+            for i in rows:
+                line = "%.6f %.6f %.6f %d %d %d" % (
+                    *(float(v) for v in positions[i]), *(int(v) for v in cloud.colors[i])
+                )
+                expected.append(line + (" %d" % labels[i] if with_labels else "") + "\n")
+            assert (tmp_path / entry.file_path).read_bytes() == "".join(expected).encode()
+        edge_file = (tmp_path / entries[3].file_path).read_text().split()
+        assert {"-0.000000", "0.007812", "1000000000.123456"} <= set(edge_file)
+
+    @pytest.mark.parametrize(
+        "mismatch",
+        ["missing set", "extra set", "short set", "long set"],
+    )
+    def test_mismatched_kept_sets_write_nothing(self, room, generated, tmp_path, mismatch):
+        kept, manifest = generated
+        assert len(kept) >= 2
+        kept = list(kept)
+        if mismatch == "missing set":
+            kept.pop()
+        elif mismatch == "extra set":
+            kept.append(kept[0])
+        elif mismatch == "short set":
+            kept[1] = kept[1][:-1]
+        else:
+            kept[1] = np.union1d(kept[1], np.setdiff1d(np.arange(len(room)), kept[1])[:1])
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ValueError, match="kept set"):
+            write_outputs(room, kept, manifest, out)
+        assert list(out.iterdir()) == []
 
 
 class TestFuseTrainingSet:

@@ -14,9 +14,9 @@ from pathlib import Path
 import pytest
 
 from mvrep import pipeline
-from mvrep.pipeline import PipelineConfig, generate_multiview
+from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
 from mvrep.synthetic import synthetic_room
-from mvrep.viewpoints import enumerate_perspectives, grid_viewpoints
+from mvrep.viewpoints import GridConfig, enumerate_perspectives, grid_viewpoints
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -30,6 +30,7 @@ def _load_tracing():
 
 
 BOUNDARIES = [(target, attr) for target, attr, _, _ in _load_tracing()._boundaries()]
+COUNTERS = {(target, attr): counter for target, attr, _, counter in _load_tracing()._boundaries()}
 
 
 @pytest.mark.parametrize("target, attr", BOUNDARIES, ids=[f"{t}.{a}" for t, a in BOUNDARIES])
@@ -64,3 +65,31 @@ def test_generate_culls_through_pipeline_frustum_mask(monkeypatch):
         )
         assert seen == Counter(p.perspective_id for p in perspectives)
         assert max(rows) < len(room)
+
+
+def test_kept_sets_and_partial_writes_count_as_the_manifest_says(monkeypatch, tmp_path):
+    # The tracer reads the kept sets from generate_multiview's result and the
+    # rows written from write_partial_set's first argument.
+    room = synthetic_room(6_000, size=(4.0, 3.0, 2.5), seed=6)
+    args = (room, PipelineConfig(grid=GridConfig(spacing=2.0), min_points=50))
+    r = generate_multiview(*args)
+    kept, manifest = r
+    point_counts = [e.point_count for e in manifest.entries]
+    assert len(r[0]) == len(manifest.entries) > 0
+    assert sum(len(c) for c in r[0]) == sum(point_counts)
+    assert COUNTERS["mvrep.cli", "generate_multiview"](args, {}, r)["kept_points"] == sum(point_counts)
+
+    real = pipeline.write_partial_set
+    calls = []
+
+    def recording(*a, **k):
+        real(*a, **k)
+        calls.append((len(a[0]), COUNTERS["mvrep.pipeline", "write_partial_set"](a, k, None)))
+
+    monkeypatch.setattr(pipeline, "write_partial_set", recording)
+    write_outputs(room, kept, manifest, tmp_path)
+    assert [rows for rows, _ in calls] == point_counts
+    assert [counts["points"] for _, counts in calls] == point_counts
+    assert [counts["bytes"] for _, counts in calls] == [
+        (tmp_path / e.file_path).stat().st_size for e in manifest.entries
+    ]
