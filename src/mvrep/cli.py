@@ -324,9 +324,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except CloudFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -32,18 +32,17 @@ __all__ = [
 class FeatureBank:
     """K per-point feature functions.
 
-    The standard bank uses seeded Gaussian bumps
+    The bank uses seeded Gaussian bumps
     ``h_j(x) = exp(-|x - c_j|^2 / sigma_j^2)`` with centres and widths drawn
     over a bounding box, so features are continuous and bounded in (0, 1].
-    ``coordinates`` builds a hand-checkable bank whose features are raw
-    coordinate values instead; it exists for fixtures, not for analysis.
+    ``embed``, ``critical_set`` and the ``verify_*`` helpers read only ``k``
+    and ``evaluate``.
     """
 
     k: int
     seed: int
-    centers: np.ndarray | None = None
-    widths: np.ndarray | None = None
-    coord_dims: tuple[int, ...] | None = None
+    centers: np.ndarray
+    widths: np.ndarray
 
     @classmethod
     def rbf(cls, bounds: Aabb, k: int = 64, seed: int = 0) -> "FeatureBank":
@@ -57,17 +56,9 @@ class FeatureBank:
         widths = rng.uniform(0.2, 0.6, size=k) * scale
         return cls(k=k, seed=seed, centers=centers, widths=widths)
 
-    @classmethod
-    def coordinates(cls, dims: tuple[int, ...] = (0, 1)) -> "FeatureBank":
-        if not dims or any(d not in (0, 1, 2) for d in dims):
-            raise ValueError(f"coordinate dims must be drawn from (0, 1, 2), got {dims}")
-        return cls(k=len(dims), seed=0, coord_dims=tuple(dims))
-
     def evaluate(self, points) -> np.ndarray:
         """Per-point feature matrix of shape (n, K)."""
         pos = _as_points(points)
-        if self.coord_dims is not None:
-            return pos[:, list(self.coord_dims)].copy()
         # |x - c|^2 expanded; avoids an (n, K, 3) intermediate on big clouds.
         sq = (
             (pos**2).sum(axis=1)[:, None]

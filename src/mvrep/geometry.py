@@ -31,7 +31,7 @@ __all__ = [
 # Closer than this to a viewpoint and a point has no usable ray direction.
 EPS_DIST = 1e-6
 
-# Facet / coplanarity tolerance, relative to the input diameter.
+# Span tolerance of a rejected hull input, relative to its diameter.
 HULL_EPS_SCALE = 1e-9
 
 # Rows per frustum-cull block; each block's temporaries stay in cache.
@@ -143,25 +143,28 @@ def frustum_mask(points, perspective: Perspective) -> np.ndarray:
     ``min_depth <= d <= max_depth`` and both angular offsets
     ``|atan2(lateral, d)| <= hfov/2`` and ``|atan2(vertical, d)| <= vfov/2``
     hold.  All bounds are inclusive, so boundary points count as inside.
+    A row culled alone gets the same answer as among many rows.
 
     Returns:
         Boolean mask of shape (n,).
     """
     pts = _as_points(points)
+    n = pts.shape[0]
+    # numpy rounds a one-row product differently from a many-row one, so
+    # every product here spans at least two rows: a lone row is culled as
+    # two copies of itself, and a one-row tail block starts one row early.
+    if n == 1:
+        pts = np.repeat(pts, 2, axis=0)
     fov = perspective.fov
     forward, right, up = camera_axes(perspective.yaw_deg, perspective.pitch_deg)
     vp = np.asarray(perspective.viewpoint, dtype=np.float64)
     half_h = math.radians(fov.hfov_deg) / 2.0
     half_v = math.radians(fov.vfov_deg) / 2.0
-    n = pts.shape[0]
-    mask = np.zeros(n, dtype=bool)
+    mask = np.zeros(len(pts), dtype=bool)
     # Block by block, the arctan2 tests run only on rows inside the depth
-    # window.  Each product stays a BLAS matrix-vector product over the whole
-    # block, which rounds every row as the product over the whole array
-    # does; numpy's one-row product rounds differently, so a one-row tail
-    # block starts one row early instead.
-    for start in range(0, n, CULL_BLOCK_ROWS):
-        start = min(start, max(n - 2, 0))
+    # window.
+    for start in range(0, len(pts), CULL_BLOCK_ROWS):
+        start = min(start, len(pts) - 2)
         rel = pts[start:start + CULL_BLOCK_ROWS] - vp
         d = rel @ forward
         near = np.flatnonzero((d >= fov.min_depth) & (d <= fov.max_depth))
@@ -169,7 +172,7 @@ def frustum_mask(points, perspective: Perspective) -> np.ndarray:
         inside = np.abs(np.arctan2((rel @ right)[near], d)) <= half_h
         inside &= np.abs(np.arctan2((rel @ up)[near], d)) <= half_v
         mask[start + near] = inside
-    return mask
+    return mask[:n]
 
 
 def spherical_flip(points, viewpoint, radius: float) -> np.ndarray:
@@ -212,7 +215,10 @@ def spherical_flip(points, viewpoint, radius: float) -> np.ndarray:
 
 
 class DegenerateInputError(ValueError):
-    """Raised when a 3D hull is requested for points spanning < 3 dimensions."""
+    """Raised when qhull rejects a 3D hull's input as degenerate.
+
+    ``dimensionality`` is the number of directions the input spans.
+    """
 
     def __init__(self, dimensionality: int, message: str):
         super().__init__(message)
@@ -233,21 +239,14 @@ class ConvexHull3:
     facets: np.ndarray
 
 
-def _dimensionality(pts: np.ndarray, eps: float) -> int:
-    centred = pts - pts.mean(axis=0)
-    # s are the singular values of the tall-skinny centred matrix; a span
-    # direction is real only if it exceeds the scaled tolerance.
-    s = np.linalg.svd(centred, compute_uv=False)
-    return int(np.sum(s > eps))
-
-
 def convex_hull_3d(points) -> ConvexHull3:
     """Convex hull with outward-oriented triangular facets.
 
-    Uses quickhull (qhull via scipy) under the package's contract: input
-    spanning fewer than 3 dimensions raises :class:`DegenerateInputError`
-    carrying the detected dimensionality, and every returned facet is
-    re-oriented so its normal points outward.
+    Uses quickhull (qhull via scipy), which is also the one test of
+    degeneracy: input that qhull rejects, such as fewer than 4 points or
+    points spanning fewer than 3 dimensions, raises
+    :class:`DegenerateInputError` carrying the input's dimensionality.
+    Every returned facet is re-oriented so its normal points outward.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -256,18 +255,15 @@ def convex_hull_3d(points) -> ConvexHull3:
     # Imported here so that commands which build no hull start without scipy.
     from scipy.spatial import ConvexHull, QhullError
 
-    diameter = bounding_box(pts).diameter
-    eps = HULL_EPS_SCALE * diameter if diameter > 0.0 else 0.0
-    dim = _dimensionality(pts, eps) if n > 1 else 0
-    if n < 4 or dim < 3:
-        raise DegenerateInputError(
-            dim, f"hull input spans only {dim} dimensions ({n} points)"
-        )
     try:
         hull = ConvexHull(pts)
-    except QhullError as exc:  # full-rank input that qhull still rejects
+    except QhullError as exc:
+        # A span direction is real only if its singular value of the centred
+        # input exceeds the tolerance scaled by the input's diameter.
+        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
+        dim = int(np.sum(s > HULL_EPS_SCALE * bounding_box(pts).diameter))
         raise DegenerateInputError(
-            dim, f"qhull failed on near-degenerate input: {exc}"
+            dim, f"qhull rejected hull input spanning {dim} dimensions ({n} points)"
         ) from exc
     facets = hull.simplices.copy()
     normals = hull.equations[:, :3]

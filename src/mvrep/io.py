@@ -403,64 +403,53 @@ def _replacing(path):
         raise
 
 
-def _line_blocks(cloud: PointCloud, rows):
+def format_lines(cloud: PointCloud, rows) -> np.ndarray:
     """``x y z r g b [label]`` lines of ``cloud``'s ``rows``, coordinates
-    with 6 decimals, as one NUL-padded bytes array per block of rows.
+    with 6 decimals.
 
-    This is the one statement of the partial-set row format.  Rows go in
-    ``WRITE_BLOCK_ROWS`` blocks so only one block is held as Python lists.
+    This is the one statement of the partial-set row format.  The result
+    is a fixed-width bytes array with one NUL-padded line per row, so a
+    line costs the width of the longest line ``cloud`` can print rather
+    than a Python string.  Indexing it selects lines; ``write_partial_set``
+    writes them.
     """
     labelled = cloud.labels is not None
     row = "%.6f %.6f %.6f %d %d %d" + " %d" * labelled + "\n"
+    # ``%.6f`` rounds correctly, so no coordinate prints longer than its
+    # axis's largest magnitude with a minus sign, and no color than 255.
+    # Allocating that width up front holds the lines once, not twice.
+    magnitude = np.maximum(np.abs(cloud.bounds.lo), np.abs(cloud.bounds.hi))
+    widest = [-m for m in magnitude.tolist()] + [255] * 3
+    if labelled:
+        widest.append(max(cloud.labels.min(), cloud.labels.max(), key=lambda v: len(str(v))))
+    lines = np.empty(len(rows), dtype=f"S{len(row % tuple(widest))}")
+    # Rows go in ``WRITE_BLOCK_ROWS`` blocks so only one block is held as
+    # Python lists.
     for start in range(0, len(rows), WRITE_BLOCK_ROWS):
         block = rows[start:start + WRITE_BLOCK_ROWS]
         columns = cloud.positions[block].T.tolist() + cloud.colors[block].T.tolist()
         if labelled:
             columns.append(cloud.labels[block].tolist())
-        yield np.array([row % values for values in zip(*columns)], dtype=np.bytes_)
-
-
-def format_lines(cloud: PointCloud, rows) -> np.ndarray:
-    """The partial-set lines of ``cloud``'s ``rows``, formatted once.
-
-    The result is a fixed-width bytes array with one NUL-padded line per
-    row, so a line costs the width of the longest line ``cloud`` can print
-    rather than a Python string.  Indexing it selects lines;
-    ``write_partial_set`` writes them.
-    """
-    # ``%.6f`` rounds correctly, so no coordinate prints longer than its
-    # axis's largest magnitude with a minus sign, and no color than 255.
-    # Allocating that width up front holds the lines once, not twice.
-    magnitude = np.maximum(np.abs(cloud.bounds.lo), np.abs(cloud.bounds.hi))
-    widest = PointCloud(
-        positions=-magnitude[None],
-        colors=np.full((1, 3), 255, dtype=np.uint8),
-        labels=None if cloud.labels is None else [
-            max(cloud.labels.min(), cloud.labels.max(), key=lambda v: len(str(v)))
-        ],
-    )
-    lines = np.empty(len(rows), dtype=next(_line_blocks(widest, [0])).dtype)
-    start = 0
-    for block in _line_blocks(cloud, rows):
-        lines[start:start + len(block)] = block
-        start += len(block)
+        lines[start:start + len(block)] = [row % values for values in zip(*columns)]
     return lines
 
 
 def write_partial_set(points, path) -> None:
     """Write a partial set: one ``x y z r g b [label]`` line per point.
 
-    ``points`` is a ``PointCloud``, or lines from ``format_lines``.  Output
-    bytes are a pure function of the points, so repeated writes of equal
-    clouds are byte-identical.  The file appears under its name only once
-    it is complete.
+    ``points`` is a ``PointCloud``, formatted by ``format_lines`` one
+    ``WRITE_BLOCK_ROWS`` block at a time, or lines from ``format_lines``.
+    Output bytes are a pure function of the points, so repeated writes of
+    equal clouds are byte-identical.  The file appears under its name only
+    once it is complete.
     """
-    if isinstance(points, PointCloud):
-        blocks = _line_blocks(points, np.arange(len(points)))
-    else:
-        blocks = (points[s:s + WRITE_BLOCK_ROWS] for s in range(0, len(points), WRITE_BLOCK_ROWS))
     with _replacing(path) as fh:
-        for lines in blocks:
+        for start in range(0, len(points), WRITE_BLOCK_ROWS):
+            end = min(start + WRITE_BLOCK_ROWS, len(points))
+            if isinstance(points, PointCloud):
+                lines = format_lines(points, np.arange(start, end))
+            else:
+                lines = points[start:end]
             raw = lines.view(np.uint8)
             fh.write(raw[raw != 0].tobytes())
 

@@ -139,11 +139,6 @@ def _cull_viewpoint(positions, perspectives):
         dist2 = np.einsum("ij,ij->i", rel, rel)
         shell.append(start + np.flatnonzero((dist2 >= lo) & (dist2 <= hi)))
     shell = np.concatenate(shell).astype(index)
-    if shell.size < 2:
-        # numpy rounds a one-row product differently from a many-row one,
-        # so a lone row is culled within the whole cloud.
-        shell = np.arange(n, dtype=index)
-        return [shell[frustum_mask(positions, p)] for p in perspectives]
     rows = positions[shell]
     return [shell[frustum_mask(rows, p)] for p in perspectives]
 

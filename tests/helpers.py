@@ -1,5 +1,7 @@
 """Small utilities shared by the test modules."""
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from mvrep.geometry import ConvexHull3
@@ -32,3 +34,20 @@ def max_outside_distance(points: np.ndarray, hull: ConvexHull3) -> float:
     offsets = np.einsum("ij,ij->i", normals, a[keep])
     signed = points @ normals.T - offsets
     return float(signed.max()) if signed.size else 0.0
+
+
+@dataclass(frozen=True)
+class CoordinateBank:
+    """Hand-checkable feature bank: feature j of a point is its coordinate
+    ``dims[j]``.  It has the ``k`` and ``evaluate`` that ``embed``,
+    ``critical_set`` and the ``verify_*`` helpers read from a bank."""
+
+    dims: tuple[int, ...]
+
+    @property
+    def k(self) -> int:
+        return len(self.dims)
+
+    def evaluate(self, points) -> np.ndarray:
+        pos = np.asarray(getattr(points, "positions", points), dtype=np.float64)
+        return pos[:, list(self.dims)]

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from helpers import f1_score, max_outside_distance
+from helpers import CoordinateBank, f1_score, max_outside_distance
 from mvrep.cli import main
 from mvrep.critical import FeatureBank, critical_set, verify_monotonicity, verify_subset_invariance
 from mvrep.geometry import (
@@ -244,7 +244,7 @@ class TestEmbeddingChainMechanics:
                 [0.7, 0.3, 0.0],
             ]
         )
-        bank = FeatureBank.coordinates((0, 1))
+        bank = CoordinateBank((0, 1))
         report = verify_monotonicity(pts, pts[[0, 2, 3]], [pts[[1]]], bank)
         assert report.passed
         assert report.u_fused[0] > report.u_sparse[0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from helpers import CoordinateBank
 from mvrep.critical import (
     FeatureBank,
     critical_set,
@@ -56,20 +57,15 @@ class TestFeatureBank:
             FeatureBank.rbf(Aabb(lo=np.zeros(3), hi=np.ones(3)), k=0)
 
     def test_coordinates_bank(self):
-        bank = FeatureBank.coordinates((0, 2))
+        bank = CoordinateBank((0, 2))
         feats = bank.evaluate(FIXTURE)
+        assert bank.k == 2
         np.testing.assert_array_equal(feats, FIXTURE[:, [0, 2]])
-
-    def test_coordinates_rejects_bad_dims(self):
-        with pytest.raises(ValueError):
-            FeatureBank.coordinates((0, 3))
-        with pytest.raises(ValueError):
-            FeatureBank.coordinates(())
 
 
 class TestCriticalSet:
     def test_hand_fixture(self):
-        report = critical_set(FIXTURE, FeatureBank.coordinates((0, 1)))
+        report = critical_set(FIXTURE, CoordinateBank((0, 1)))
         np.testing.assert_allclose(report.u, [1.0, 0.9])
         np.testing.assert_array_equal(report.critical_indices, [1, 2])
         assert report.critical_size == 2
@@ -85,7 +81,7 @@ class TestCriticalSet:
 
     def test_ties_pick_lowest_index(self):
         pts = np.vstack([FIXTURE[1], FIXTURE])  # duplicate max-x point first
-        report = critical_set(pts, FeatureBank.coordinates((0, 1)))
+        report = critical_set(pts, CoordinateBank((0, 1)))
         # max x attained at indices 0 and 2; index 0 wins the tie
         assert 0 in report.critical_indices
         assert 2 not in report.critical_indices
@@ -100,10 +96,10 @@ class TestCriticalSet:
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            critical_set(np.zeros((0, 3)), FeatureBank.coordinates((0,)))
+            critical_set(np.zeros((0, 3)), CoordinateBank((0,)))
 
     def test_to_dict_is_json_friendly(self):
-        report = critical_set(FIXTURE, FeatureBank.coordinates((0, 1)))
+        report = critical_set(FIXTURE, CoordinateBank((0, 1)))
         d = report.to_dict()
         assert d["u"] == [1.0, 0.9]
         assert d["critical_indices"] == [1, 2]
@@ -132,7 +128,7 @@ class TestSubsetInvariance:
         "points, bank, trials",
         [
             (CLOUD_5K, FeatureBank.rbf(bounding_box(CLOUD_5K), k=16), 10),
-            (np.eye(3), FeatureBank.coordinates((0, 1, 2)), 4),
+            (np.eye(3), CoordinateBank((0, 1, 2)), 4),
         ],
         ids=["random-5k", "all-critical"],
     )
@@ -230,7 +226,7 @@ class TestMonotonicity:
     def test_new_extreme_point_strictly_increases_u(self):
         # The partial contributes the unique max-x point, so the fused
         # embedding must exceed the sparse one in the x feature.
-        bank = FeatureBank.coordinates((0, 1))
+        bank = CoordinateBank((0, 1))
         dense = FIXTURE
         sparse = FIXTURE[[0, 2, 3, 4]]  # drops the max-x point
         report = verify_monotonicity(dense, sparse, [FIXTURE[[1]]], bank)

@@ -208,17 +208,31 @@ class TestFrustumBlocks:
     # that rounding where a blocked cull could compute it on its own.
     HEADING = _perspective(viewpoint=(0.3, -0.2, 1.5), yaw=45.0, pitch=30.0)
 
-    def test_one_row_tail_rounds_as_whole_array(self, cloud):
+    def _min_depth_candidates(self):
+        """Points on the min-depth plane, well inside the field of view, and
+        the indices of those whose depth a one-row product puts on the other
+        side of ``min_depth`` than the many-row product does."""
         forward, right, up = camera_axes(45.0, 30.0)
         vp = np.asarray(self.HEADING.viewpoint)
         offsets = np.random.default_rng(9).uniform(-0.2, 0.2, size=(2000, 2))
         candidates = vp + _FOV.min_depth * forward + offsets[:, :1] * right + offsets[:, 1:] * up
         many = (candidates - vp) @ forward >= _FOV.min_depth
         one = np.array([((row[None] - vp) @ forward)[0] for row in candidates]) >= _FOV.min_depth
-        pts = np.vstack([cloud[: self.B], candidates[int(np.argmax(many != one))]])
+        return candidates, np.flatnonzero(many != one)
+
+    def test_one_row_tail_rounds_as_whole_array(self, cloud):
+        candidates, sensitive = self._min_depth_candidates()
+        pts = np.vstack([cloud[: self.B], candidates[sensitive[0]]])
         np.testing.assert_array_equal(
             frustum_mask(pts, self.HEADING), _unblocked_mask(pts, self.HEADING)
         )
+
+    def test_one_row_input_rounds_as_many_rows(self):
+        candidates, sensitive = self._min_depth_candidates()
+        assert sensitive.size > 0
+        together = frustum_mask(candidates, self.HEADING)
+        alone = [frustum_mask(candidates[i][None], self.HEADING)[0] for i in sensitive]
+        assert alone == together[sensitive].tolist()
 
     def test_single_depth_survivor_rounds_as_whole_array(self):
         forward, right, up = camera_axes(45.0, 30.0)
@@ -324,17 +338,20 @@ class TestConvexHull:
 
     def test_coplanar_rejected_with_dimensionality(self, rng):
         xy = rng.normal(size=(30, 2))
-        pts = np.column_stack([xy, np.zeros(30)])
-        with pytest.raises(DegenerateInputError) as err:
-            convex_hull_3d(pts)
-        assert err.value.dimensionality == 2
+        # Three points that are not collinear span a plane too.
+        triangle = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.5], [0.0, 2.0, 1.0]])
+        for pts in (np.column_stack([xy, np.zeros(30)]), triangle):
+            with pytest.raises(DegenerateInputError) as err:
+                convex_hull_3d(pts)
+            assert err.value.dimensionality == 2
 
     def test_collinear_rejected(self):
         t = np.linspace(0, 1, 12)
-        pts = np.outer(t, [1.0, 2.0, 3.0])
-        with pytest.raises(DegenerateInputError) as err:
-            convex_hull_3d(pts)
-        assert err.value.dimensionality == 1
+        # Two distinct points always span a line.
+        for pts in (np.outer(t, [1.0, 2.0, 3.0]), np.array([[0.0, 0.0, 0.0], [1.0, 2.0, 3.0]])):
+            with pytest.raises(DegenerateInputError) as err:
+                convex_hull_3d(pts)
+            assert err.value.dimensionality == 1
 
     def test_repeated_point_rejected(self):
         pts = np.tile([[1.0, 2.0, 3.0]], (8, 1))

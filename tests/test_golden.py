@@ -21,6 +21,8 @@ from mvrep.viewpoints import GridConfig
 GENERATE_SHA256 = "f2d1a173d9b5a37fe05f25b6cb78facc894e6dbee2bbb1b02d72c98be5ff5073"
 # ``mvrep critical`` JSON with default --k, --trials and --seed.
 CRITICAL_SHA256 = "a414af45820c0e930a6d9e2df6d712c0e42f49188ca4d8ca28eb3683d7e45475"
+# ``mvrep hpr`` partial set seen from the centre of the room's bounds.
+HPR_SHA256 = "c15163339da6ab6b6b95b806ae983756030210f9765c8add3ab0032f1c0c400c"
 
 
 @pytest.fixture(scope="module")
@@ -54,3 +56,13 @@ def test_critical_report_matches_golden(room, tmp_path):
     out = tmp_path / "critical.json"
     assert main(["critical", "--input", str(src), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITICAL_SHA256
+
+
+def test_hpr_partial_matches_golden(room, tmp_path):
+    src = tmp_path / "golden_room.txt"
+    write_partial_set(room, src)
+    centre = (room.bounds.lo + room.bounds.hi) / 2.0
+    out = tmp_path / "hpr.txt"
+    viewpoint = ",".join(repr(float(v)) for v in centre)
+    assert main(["hpr", "--input", str(src), "--viewpoint", viewpoint, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HPR_SHA256

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from helpers import f1_score
+from mvrep import hpr
+from mvrep.geometry import DegenerateInputError, convex_hull_3d
 from mvrep.hpr import visible_points
 from mvrep.oracles import cap_visibility_sphere
 
@@ -114,13 +116,26 @@ class TestInvariances:
 
 
 class TestDegenerateScenes:
-    def test_planar_scene_with_inplane_viewpoint(self):
+    def test_planar_scene_with_inplane_viewpoint(self, monkeypatch):
         # All points and the viewpoint share a plane, so the flipped set is
         # coplanar and hull construction needs the seeded jitter retry.
         rng = np.random.default_rng(9)
         xy = rng.uniform(1.0, 4.0, size=(50, 2))
         pts = np.column_stack([xy[:, 0], xy[:, 1], np.zeros(50)])
+        outcomes = []
+
+        def recording(points):
+            try:
+                hull = convex_hull_3d(points)
+            except DegenerateInputError as exc:
+                outcomes.append(exc.dimensionality)
+                raise
+            outcomes.append("hull")
+            return hull
+
+        monkeypatch.setattr(hpr, "convex_hull_3d", recording)
         vis = visible_points(pts, np.zeros(3))
+        assert outcomes == [2, "hull"]
         assert vis.size > 0
         assert np.all((vis >= 0) & (vis < 50))
 

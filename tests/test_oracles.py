@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import f1_score
+from helpers import CoordinateBank, f1_score
 from mvrep.critical import FeatureBank
 from mvrep.geometry import convex_hull_3d
 from mvrep.oracles import (
@@ -100,14 +100,14 @@ class TestMaxpoolBruteforce:
                 [0.0, 0.0, 0.0],
             ]
         )
-        bank = FeatureBank.coordinates(dims=(0, 1))
+        bank = CoordinateBank((0, 1))
         u, minimal = maxpool_bruteforce(pts, bank)
         np.testing.assert_allclose(u, [1.0, 0.9])
         assert minimal == [(1, 2)]
 
     def test_single_point(self):
         pts = np.array([[0.3, 0.7, 0.0]])
-        bank = FeatureBank.coordinates(dims=(0, 1))
+        bank = CoordinateBank((0, 1))
         u, minimal = maxpool_bruteforce(pts, bank)
         np.testing.assert_allclose(u, [0.3, 0.7])
         assert minimal == [(0,)]
@@ -116,12 +116,12 @@ class TestMaxpoolBruteforce:
         # Points 0 and 2 are identical, so either one alone attains both
         # feature maxima held by that location.
         pts = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
-        bank = FeatureBank.coordinates(dims=(0, 1))
+        bank = CoordinateBank((0, 1))
         _, minimal = maxpool_bruteforce(pts, bank)
         assert minimal == [(0, 1), (1, 2)]
 
     def test_size_limit(self):
-        bank = FeatureBank.coordinates(dims=(0,))
+        bank = CoordinateBank((0,))
         with pytest.raises(ValueError):
             maxpool_bruteforce(np.zeros((16, 3)), bank)
 

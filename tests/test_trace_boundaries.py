@@ -13,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from mvrep import pipeline
+from mvrep import cli, pipeline
+from mvrep.io import write_partial_set
 from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig, enumerate_perspectives, grid_viewpoints
@@ -93,3 +94,39 @@ def test_kept_sets_and_partial_writes_count_as_the_manifest_says(monkeypatch, tm
     assert [counts["bytes"] for _, counts in calls] == [
         (tmp_path / e.file_path).stat().st_size for e in manifest.entries
     ]
+
+
+def test_traced_commands_miss_no_span(tmp_path):
+    # A traced benchmark run reports every boundary the tracer could not
+    # wrap, or whose counter failed, as missing.  Run each command that the
+    # benchmark times through main() with the tracer installed.
+    room = synthetic_room(6_000, size=(4.0, 3.0, 2.5), seed=6)
+    src = tmp_path / "room.txt"
+    write_partial_set(room, src)
+    centre = ",".join(repr(float(v)) for v in (room.bounds.lo + room.bounds.hi) / 2.0)
+    gen = tmp_path / "gen"
+    commands = [
+        ["generate", "--input", str(src), "--out", str(gen), "--spacing", "2.0",
+         "--min-points", "50", "--with-labels", "--jobs", "2"],
+        ["hpr", "--input", str(src), "--viewpoint", centre, "--out", str(tmp_path / "hpr.txt")],
+        ["critical", "--input", str(src), "--k", "8", "--trials", "3",
+         "--out", str(tmp_path / "critical.json")],
+        ["fuse", "--manifests", str(gen), "--partial-per-area", "2",
+         "--out", str(tmp_path / "train.txt")],
+        ["stats", "--manifests", str(gen)],
+    ]
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(argv) for argv in commands]  # looked up per call
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(commands)
+    assert tracer.missing_spans == set()
+    recorded = Counter(span["name"] for span in tracer.export())
+    assert recorded["cli.main"] == len(commands)
+    for name in ("io.parse", "pipeline.generate", "geometry.frustum_mask",
+                 "geometry.convex_hull_3d", "io.write_partial", "io.write_manifest",
+                 "io.subset", "critical.invariance", "critical.evaluate",
+                 "pipeline.fuse", "io.read_manifest"):
+        assert recorded[name] > 0, name
