@@ -137,6 +137,19 @@ class TestGenerate:
         assert first.labels is not None
         assert set(np.unique(first.labels)) <= set(np.unique(room.labels))
 
+    def test_with_labels_on_ply_is_input_error(self, tmp_path, capsys):
+        src = tmp_path / "Area_2_office_4.ply"
+        src.write_text(
+            "ply\nformat ascii 1.0\nelement vertex 4\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "property uchar red\nproperty uchar green\nproperty uchar blue\n"
+            "end_header\n0 0 0 1 2 3\n1 0 0 1 2 3\n0 1 0 1 2 3\n0 0 1 1 2 3\n"
+        )
+        out = tmp_path / "mv"
+        assert run_generate(src, out, "--with-labels") == 1
+        assert "labels requested" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestHpr:
     def test_filters_and_writes(self, room_file, tmp_path, capsys):

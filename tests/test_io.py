@@ -331,6 +331,12 @@ class TestPly:
         np.testing.assert_allclose(cloud.positions[0], [0.5, 1.0, -2.0], atol=1e-7)
         np.testing.assert_array_equal(cloud.colors, [[9, 8, 7], [1, 2, 3]])
 
+    @pytest.mark.parametrize("bad", ["300", "2.5", "-1"])
+    def test_ascii_color_outside_uchar_reports_data_line(self, tmp_path, bad):
+        f = ascii_ply(tmp_path, f"0 0 0 1 2 3\n1 1 1 4 {bad} 6\n", 2)
+        with pytest.raises(CloudFormatError, match="data line 2: color"):
+            parse_ply(f)
+
     def test_vertex_count_mismatch(self, tmp_path):
         f = ascii_ply(tmp_path, "0 0 0 1 2 3\n", 2)
         with pytest.raises(CloudFormatError):
