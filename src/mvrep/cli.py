@@ -4,6 +4,10 @@ Subcommands: generate (full multiview pipeline for one room), hpr (single
 viewpoint visibility filter), fuse (training list composition), critical
 (embedding critical-set report), stats (manifest summary table).
 
+A room input ending in ``.ply`` is read as PLY; any other is a text room
+file or a room directory.  ``generate --with-labels`` needs a label column,
+which only text rooms and ``Annotations/`` directories carry.
+
 Exit codes: 0 success, 1 input/data error, 2 configuration error.  All
 diagnostics go to stderr.  ``generate`` flags can also be given in a flat
 ``key=value`` config file (``--config`` or the MVREP_CONFIG environment
@@ -146,16 +150,15 @@ def _pipeline_config(values: dict) -> PipelineConfig:
         raise ConfigError(str(exc)) from None
 
 
-def _load_cloud(path: str, fmt: str, with_labels: bool = False):
-    if fmt == "ply" or (fmt == "auto" and path.endswith(".ply")):
-        return parse_ply(path)
-    return parse_s3dis_room(path, with_labels=with_labels)
+def _load_cloud(path: str, with_labels: bool = False):
+    parse = parse_ply if path.endswith(".ply") else parse_s3dis_room
+    return parse(path, with_labels=with_labels)
 
 
 def cmd_generate(args) -> int:
     values = _merged_generate_values(args)
     config = _pipeline_config(values)
-    cloud = _load_cloud(args.input, args.format, with_labels=values.get("with_labels", False))
+    cloud = _load_cloud(args.input, with_labels=values.get("with_labels", False))
     kept, manifest = generate_multiview(cloud, config)
     manifest = replace(manifest, source_path=str(Path(args.input).resolve()))
     manifest_path = write_outputs(cloud, kept, manifest, args.out)
@@ -177,7 +180,7 @@ def cmd_hpr(args) -> int:
         raise ConfigError(f"--radius-factor expects a number, got {args.radius_factor!r}") from None
     if not radius_factor >= 1.0:
         raise ConfigError(f"--radius-factor must be >= 1, got {radius_factor}")
-    cloud = _load_cloud(args.input, args.format)
+    cloud = _load_cloud(args.input)
     visible = visible_points(cloud.positions, viewpoint, radius_factor)
     write_partial_set(cloud.subset(visible), args.out)
     print(f"{len(visible)} of {len(cloud)} points visible, wrote {args.out}")
@@ -221,7 +224,7 @@ def cmd_critical(args) -> int:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
-    cloud = _load_cloud(args.input, args.format)
+    cloud = _load_cloud(args.input)
     bank = FeatureBank.rbf(cloud.bounds, k=args.k, seed=args.seed)
     invariance = verify_subset_invariance(
         cloud.positions, bank, trials=args.trials, seed=args.seed
@@ -270,7 +273,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="run the multiview pipeline on one room")
     gen.add_argument("--input", required=True, help="room file or directory")
-    gen.add_argument("--format", choices=("s3dis", "ply", "auto"), default="auto")
     gen.add_argument("--out", required=True, help="output directory")
     for key in _GENERATE_SCHEMA:
         if key == "with_labels":
@@ -282,7 +284,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     hpr = sub.add_parser("hpr", help="visibility filter from one viewpoint")
     hpr.add_argument("--input", required=True)
-    hpr.add_argument("--format", choices=("s3dis", "ply", "auto"), default="auto")
     hpr.add_argument("--viewpoint", required=True, help="x,y,z")
     hpr.add_argument("--radius-factor", default="1000.0")
     hpr.add_argument("--out", required=True)
@@ -298,7 +299,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     crit = sub.add_parser("critical", help="critical set report for one cloud")
     crit.add_argument("--input", required=True)
-    crit.add_argument("--format", choices=("s3dis", "ply", "auto"), default="auto")
     crit.add_argument("--k", type=int, default=64)
     crit.add_argument("--trials", type=int, default=50)
     crit.add_argument("--seed", type=int, default=0)

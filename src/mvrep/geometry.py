@@ -75,7 +75,9 @@ def bounding_box(points) -> Aabb:
     pts = _as_points(points)
     if pts.shape[0] == 0:
         raise ValueError("bounding box of an empty point set is undefined")
-    return Aabb(pts.min(axis=0), pts.max(axis=0))
+    # One reduction per axis: numpy reduces a strided column several times
+    # faster than axis 0 of an (n, 3) array.
+    return Aabb(np.array([c.min() for c in pts.T]), np.array([c.max() for c in pts.T]))
 
 
 @dataclass(frozen=True)

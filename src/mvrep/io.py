@@ -4,7 +4,9 @@ Text point sets use the room-scan convention of one point per line,
 ``x y z r g b`` with an optional trailing integer label column.  Coordinates
 are metres, colors are integers in [0, 255].  Blank lines and ``#`` comments
 are skipped.  PLY input supports ascii and binary_little_endian vertex
-layouts with float/double x y z and optional uchar red green blue.
+layouts with float/double x y z and optional uchar red green blue.  Text
+files, ``Annotations/`` directories and PLY vertices all become one
+``x y z r g b [label]`` table with one row check.
 
 Manifests are canonical JSON named ``<room_id>_manifest.json`` (``MANIFEST_SUFFIX``):
 keys sorted, entries sorted by perspective id, so semantically equal
@@ -13,6 +15,7 @@ manifests serialize to identical bytes.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -109,17 +112,21 @@ class PointCloud:
         )
 
 
-def _load_numeric_lines(path: Path) -> np.ndarray:
-    """Whitespace-separated numeric table; errors carry 1-based line numbers."""
+def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = None) -> np.ndarray:
+    """Whitespace-separated numeric table of the file at ``path``, from the
+    ``skiprows``-th line on and at most ``max_rows`` data lines long; errors
+    carry 1-based file line numbers."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # loadtxt warns on empty input
-            data = np.loadtxt(path, dtype=np.float64, ndmin=2)
+            data = np.loadtxt(
+                path, dtype=np.float64, ndmin=2, skiprows=skiprows, max_rows=max_rows
+            )
     except (ValueError, UnicodeDecodeError):
         # Re-scan to pin malformed content to a line number.
         width = None
         with open(path, "r", errors="replace") as fh:
-            for lineno, line in enumerate(fh, start=1):
+            for lineno, line in itertools.islice(enumerate(fh, start=1), skiprows, None):
                 body = line.split("#", 1)[0].strip()
                 if not body:
                     continue
@@ -148,6 +155,8 @@ def _load_numeric_lines(path: Path) -> np.ndarray:
 def _cloud_from_table(
     data: np.ndarray, path: Path, with_labels: bool, room_id: str
 ) -> PointCloud:
+    """The one row check of every room input: ``x y z r g b [label]`` rows,
+    finite, colors integers in [0, 255] and labels integers."""
     ncols = data.shape[1]
     if ncols not in (6, 7):
         raise CloudFormatError(
@@ -156,23 +165,22 @@ def _cloud_from_table(
         )
     if with_labels and ncols != 7:
         raise CloudFormatError(f"{path}: labels requested but no 7th column present")
-    colors = data[:, 3:6]
+    # A field that the cast leaves unchanged is an integer in range.
+    with np.errstate(invalid="ignore"):
+        colors = data[:, 3:6].astype(np.uint8)
+        labels = data[:, 6].astype(np.int32) if with_labels else None
     checks = [
-        (~np.isfinite(data).all(axis=1), "non-finite coordinate"),
-        (((colors < 0) | (colors > 255) | (colors != np.floor(colors))).any(axis=1),
-         "color fields must be integers in [0, 255]"),
+        (~np.isfinite(data), "non-finite coordinate"),
+        (colors != data[:, 3:6], "color fields must be integers in [0, 255]"),
     ]
     if with_labels:
-        checks.append((data[:, 6] != np.floor(data[:, 6]), "label must be an integer"))
+        checks.append((labels != data[:, 6], "label must be an integer"))
     for bad, message in checks:
         if bad.any():
-            raise CloudFormatError(f"{path}: data line {int(np.argmax(bad)) + 1}: {message}")
-    return PointCloud(
-        positions=data[:, :3],
-        colors=colors.astype(np.uint8),
-        labels=data[:, 6].astype(np.int32) if with_labels else None,
-        room_id=room_id,
-    )
+            # Row-major indices: the first one lies on the first bad row.
+            row = int(np.nonzero(bad)[0][0]) + 1
+            raise CloudFormatError(f"{path}: data line {row}: {message}")
+    return PointCloud(positions=data[:, :3], colors=colors, labels=labels, room_id=room_id)
 
 
 def _room_id_for(path: Path) -> str:
@@ -244,12 +252,14 @@ _PLY_SCALARS = {
 }
 
 
-def parse_ply(path) -> PointCloud:
+def parse_ply(path, with_labels: bool = False) -> PointCloud:
     """Load vertices from an ascii or binary_little_endian PLY file.
 
     Requires float/double x y z properties; uchar red/green/blue are used
     when all three are present, otherwise colors default to (0, 0, 0).
     Unsupported vertex layouts raise with the property list that was found.
+    The vertex columns, picked by property name, get the row checks of a
+    text room; a PLY vertex has no label column, so ``with_labels`` fails.
     """
     path = Path(path)
     try:
@@ -288,16 +298,11 @@ def parse_ply(path) -> PointCloud:
     if fmt is None:
         raise CloudFormatError(f"{path}: header has no format line")
 
-    vertex_props = None
-    preceding: list[tuple[str, int, list[tuple[str, str]]]] = []
-    vertex_count = 0
-    for name, count, props in elements:
-        if name == "vertex":
-            vertex_props, vertex_count = props, count
-            break
-        preceding.append((name, count, props))
-    if vertex_props is None:
+    element_names = [name for name, _, _ in elements]
+    if "vertex" not in element_names:
         raise CloudFormatError(f"{path}: no vertex element")
+    preceding = elements[:element_names.index("vertex")]
+    _, vertex_count, vertex_props = elements[len(preceding)]
     prop_names = [p[1] for p in vertex_props]
 
     def unsupported(reason: str) -> CloudFormatError:
@@ -308,22 +313,18 @@ def parse_ply(path) -> PointCloud:
         raise unsupported("list property in vertex element")
     if len(set(prop_names)) != len(prop_names):
         raise unsupported("duplicate vertex property names")
-    for axis in ("x", "y", "z"):
-        if axis not in prop_names:
-            raise unsupported(f"missing vertex property {axis}")
-        t = vertex_props[prop_names.index(axis)][0]
-        if t not in ("float", "float32", "double", "float64"):
-            raise unsupported(f"vertex property {axis} has non-float type {t}")
+    types = {n: t for t, n in vertex_props}
     color_names = ("red", "green", "blue")
-    n_colors = sum(1 for c in color_names if c in prop_names)
-    has_color = n_colors == 3
+    n_colors = sum(c in types for c in color_names)
     if 0 < n_colors < 3:
         raise unsupported("incomplete red/green/blue color triple")
-    if has_color:
-        for c in color_names:
-            t = vertex_props[prop_names.index(c)][0]
-            if t not in ("uchar", "uint8"):
-                raise unsupported(f"vertex property {c} has non-uchar type {t}")
+    names = ("x", "y", "z") + (color_names if n_colors else ())
+    for name in names:
+        kind, codes = ("uchar", ("u1",)) if name in color_names else ("float", ("f4", "f8"))
+        if name not in types:
+            raise unsupported(f"missing vertex property {name}")
+        if _PLY_SCALARS.get(types[name]) not in codes:
+            raise unsupported(f"vertex property {name} has non-{kind} type {types[name]}")
     if any(t not in _PLY_SCALARS for t, _ in vertex_props):
         raise unsupported("unknown property type")
     if vertex_count == 0:
@@ -336,53 +337,30 @@ def parse_ply(path) -> PointCloud:
                     f"{path}: cannot skip element {name!r} preceding the vertices"
                 )
             body = body[count * sum(np.dtype("<" + _PLY_SCALARS[t]).itemsize for t, _ in props):]
-        dtype = np.dtype(
-            [(f"f{i}", "<" + _PLY_SCALARS[t]) for i, (t, _) in enumerate(vertex_props)]
-        )
+        dtype = np.dtype([(name, "<" + _PLY_SCALARS[t]) for t, name in vertex_props])
         if len(body) < vertex_count * dtype.itemsize:
             raise CloudFormatError(
                 f"{path}: vertex element declares {vertex_count} entries but data is short"
             )
-        packed = np.frombuffer(body, dtype=dtype, count=vertex_count)
-        cols = {name: packed[f"f{i}"] for i, name in enumerate(prop_names)}
+        vertices = np.frombuffer(body, dtype=dtype, count=vertex_count)
     else:
-        lines = [ln for ln in body.decode("ascii", errors="replace").splitlines()
-                 if ln.strip()]
-        skip = sum(count for _, count, _ in preceding)
-        lines = lines[skip:]
-        if len(lines) < vertex_count:
+        # One line per element entry: the vertex lines follow the header
+        # and the entries of the elements declared before them.
+        skip = raw.count(b"\n", 0, end) + 1 + sum(count for _, count, _ in preceding)
+        table = _load_numeric_lines(path, skiprows=skip, max_rows=vertex_count)
+        if table.shape != (vertex_count, len(prop_names)):
             raise CloudFormatError(
-                f"{path}: vertex element declares {vertex_count} lines, found {len(lines)}"
+                f"{path}: vertex element declares {vertex_count} lines of "
+                f"{len(prop_names)} fields, found {table.shape[0]} of {table.shape[1]}"
             )
-        rows = []
-        for lineno, ln in enumerate(lines[:vertex_count], start=1):
-            fields = ln.split()
-            if len(fields) != len(vertex_props):
-                raise CloudFormatError(
-                    f"{path}: vertex line {lineno}: expected {len(vertex_props)} "
-                    f"fields, got {len(fields)}"
-                )
-            try:
-                rows.append([float(tok) for tok in fields])
-            except ValueError:
-                raise CloudFormatError(
-                    f"{path}: vertex line {lineno}: unparsable field"
-                ) from None
-        table = np.array(rows, dtype=np.float64)
-        cols = {name: table[:, i] for i, name in enumerate(prop_names)}
+        vertices = dict(zip(prop_names, table.T))
 
-    positions = np.column_stack(
-        [cols["x"], cols["y"], cols["z"]]
-    ).astype(np.float64)
-    if not np.isfinite(positions).all():
-        raise CloudFormatError(f"{path}: non-finite vertex coordinate")
-    if has_color:
-        colors = np.column_stack([cols[c] for c in color_names]).astype(np.uint8)
-    else:
-        colors = np.zeros((vertex_count, 3), dtype=np.uint8)
-    return PointCloud(
-        positions=positions, colors=colors, labels=None, room_id=_room_id_for(path)
-    )
+    # Filled column by column, each in one contiguous pass; colors stay 0
+    # when the vertices have none.
+    columns = np.zeros((6, vertex_count))
+    for i, name in enumerate(names):
+        columns[i] = vertices[name]
+    return _cloud_from_table(columns.T, path, with_labels, room_id=_room_id_for(path))
 
 
 @contextmanager

@@ -243,7 +243,9 @@ class TestTextRoundTrip:
             pytest.param("1 2 3 4 nan 6 0", False, "non-finite", id="nan-color"),
             pytest.param("1 2 3 0 0 300 0", False, "color", id="color-range"),
             pytest.param("1 2 3 0 1.5 0 0", False, "color", id="color-fraction"),
+            pytest.param("1 2 3 -1 0 0 0", False, "color", id="color-negative"),
             pytest.param("1 2 3 4 5 6 2.5", True, "label", id="label-fraction"),
+            pytest.param("1 2 3 4 5 6 3e9", True, "label", id="label-beyond-int32"),
         ],
     )
     def test_bad_row_reports_data_line(self, tmp_path, bad_row, with_labels, message):
@@ -335,6 +337,12 @@ class TestPly:
     def test_ascii_color_outside_uchar_reports_data_line(self, tmp_path, bad):
         f = ascii_ply(tmp_path, f"0 0 0 1 2 3\n1 1 1 4 {bad} 6\n", 2)
         with pytest.raises(CloudFormatError, match="data line 2: color"):
+            parse_ply(f)
+
+    def test_ascii_ragged_line_reports_file_line(self, tmp_path):
+        # Ten header lines, so the second vertex is line 12 of the file.
+        f = ascii_ply(tmp_path, "0 0 0 1 2 3\n1 1 1 4 5\n", 2)
+        with pytest.raises(CloudFormatError, match="line 12: expected 6 fields"):
             parse_ply(f)
 
     def test_vertex_count_mismatch(self, tmp_path):
