@@ -8,9 +8,9 @@ thresholds are the contract; loosening one to make a failing environment
 pass defeats the point of the gate.
 """
 
+import hashlib
 import os
 import time
-from dataclasses import replace
 from math import radians
 from types import SimpleNamespace
 
@@ -31,7 +31,7 @@ from mvrep.geometry import (
 )
 from mvrep.hpr import visible_points
 from mvrep.io import write_manifest
-from mvrep.oracles import (
+from oracles import (
     cap_visibility_sphere,
     hull_bruteforce,
     maxpool_bruteforce,
@@ -251,63 +251,75 @@ class TestEmbeddingChainMechanics:
         np.testing.assert_array_equal(report.u_fused, report.u_dense)
 
 
+# The default run over the one-million-point room, frozen like the digests
+# in tests/test_golden.py (numpy 2.4.6, scipy 1.17.1): its manifest, and its
+# kept sets hashed in manifest order, each index array as little-endian int64
+# so the digest does not depend on the index dtype.
+MILLION_MANIFEST_SHA256 = "ad04c962bac580341322d3c3b2c9ef2e945d57d343f1027230c5075ee53f6d6b"
+MILLION_KEPT_SHA256 = "71742ee82b1c355f1aa7abaafd893a8059e62bffdece2189c4d26985adf52472"
+
+
+def kept_digest(kept):
+    h = hashlib.sha256()
+    for indices in kept:
+        h.update(np.asarray(indices, dtype="<i8").tobytes())
+    return h.hexdigest()
+
+
 @pytest.fixture(scope="module")
 def million_point_runs(tmp_path_factory):
-    """Three full-pipeline runs over the one-million-point room: two
-    single-worker runs and one eight-worker run, with wall times."""
+    """Two full-pipeline runs over the one-million-point room, one with a
+    single worker and one with eight, each with its manifest, wall time and
+    output digests."""
     tmp_path = tmp_path_factory.mktemp("mvruns")
     room = synthetic_room(1_000_000, size=(8.0, 6.0, 3.0), seed=5)
-    config = PipelineConfig()
-
-    start = time.perf_counter()
-    kept, first = generate_multiview(room, config)
-    single_seconds = time.perf_counter() - start
-    del kept
-
-    _, repeat = generate_multiview(room, config)
-
-    start = time.perf_counter()
-    kept, eight = generate_multiview(room, replace(config, jobs=8))
-    eight_seconds = time.perf_counter() - start
-    del kept
-
-    return SimpleNamespace(
-        first=first,
-        first_bytes=manifest_bytes(first, tmp_path, "first.json"),
-        repeat_bytes=manifest_bytes(repeat, tmp_path, "repeat.json"),
-        eight_bytes=manifest_bytes(eight, tmp_path, "eight.json"),
-        single_seconds=single_seconds,
-        eight_seconds=eight_seconds,
-    )
+    runs = {}
+    for jobs in (1, 8):
+        start = time.perf_counter()
+        kept, manifest = generate_multiview(room, PipelineConfig(jobs=jobs))
+        seconds = time.perf_counter() - start
+        runs[jobs] = SimpleNamespace(
+            manifest=manifest,
+            seconds=seconds,
+            manifest_sha256=hashlib.sha256(
+                manifest_bytes(manifest, tmp_path, f"jobs{jobs}.json")
+            ).hexdigest(),
+            kept_sha256=kept_digest(kept),
+        )
+        del kept
+    return SimpleNamespace(single=runs[1], eight=runs[8])
 
 
 class TestPipelineDeterminism:
     def test_threshold_and_coverage(self, million_point_runs):
-        manifest = million_point_runs.first
+        manifest = million_point_runs.single.manifest
         assert len(manifest.entries) > 0
         assert all(e.point_count >= 40_000 for e in manifest.entries)
         assert manifest.coverage >= 0.80
 
     def test_byte_identical_across_runs_and_worker_counts(self, million_point_runs):
-        assert million_point_runs.first_bytes == million_point_runs.repeat_bytes
-        assert million_point_runs.first_bytes == million_point_runs.eight_bytes
+        for run in (million_point_runs.single, million_point_runs.eight):
+            assert run.manifest_sha256 == MILLION_MANIFEST_SHA256
+            assert run.kept_sha256 == MILLION_KEPT_SHA256
 
 
 class TestThroughput:
     def test_single_worker_under_budget(self, million_point_runs):
-        assert million_point_runs.single_seconds <= 120.0
+        assert million_point_runs.single.seconds <= 120.0
 
     def test_eight_worker_speedup(self, million_point_runs):
         """Eight workers must cut wall time at least 3x with identical
         output.  The output identity holds everywhere; the speedup needs
         eight real cores, so the assertion reports the visible core count
         when the machine cannot express parallelism."""
-        assert million_point_runs.first_bytes == million_point_runs.eight_bytes
-        speedup = million_point_runs.single_seconds / million_point_runs.eight_seconds
+        single, eight = million_point_runs.single, million_point_runs.eight
+        assert (eight.manifest_sha256, eight.kept_sha256) == (
+            single.manifest_sha256, single.kept_sha256
+        )
+        speedup = single.seconds / eight.seconds
         assert speedup >= 3.0, (
             f"speedup {speedup:.2f} with {os.cpu_count()} visible cores "
-            f"({million_point_runs.single_seconds:.1f} s single, "
-            f"{million_point_runs.eight_seconds:.1f} s at 8 workers)"
+            f"({single.seconds:.1f} s single, {eight.seconds:.1f} s at 8 workers)"
         )
 
 
