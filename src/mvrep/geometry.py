@@ -46,10 +46,6 @@ class Aabb:
     hi: np.ndarray
 
     @property
-    def extent(self) -> np.ndarray:
-        return self.hi - self.lo
-
-    @property
     def diameter(self) -> float:
         return float(np.linalg.norm(self.hi - self.lo))
 

@@ -31,7 +31,8 @@ class TestBoundingBox:
     def test_basic_extent_and_diameter(self):
         box = bounding_box(np.array([[0.0, 0, 0], [2.0, 1.0, 0.5]]))
         assert isinstance(box, Aabb)
-        np.testing.assert_allclose(box.extent, [2.0, 1.0, 0.5])
+        np.testing.assert_array_equal(box.lo, [0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(box.hi, [2.0, 1.0, 0.5])
         assert box.diameter == pytest.approx(np.sqrt(4 + 1 + 0.25))
 
     def test_empty_rejected(self):

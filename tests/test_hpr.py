@@ -7,7 +7,7 @@ from helpers import f1_score
 from mvrep import hpr
 from mvrep.geometry import DegenerateInputError, convex_hull_3d
 from mvrep.hpr import visible_points
-from mvrep.oracles import cap_visibility_sphere
+from oracles import cap_visibility_sphere
 
 
 def to_mask(indices, n):

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from helpers import CoordinateBank, f1_score
 from mvrep.critical import FeatureBank
 from mvrep.geometry import convex_hull_3d
-from mvrep.oracles import (
+from oracles import (
     cap_visibility_sphere,
     hull_bruteforce,
     maxpool_bruteforce,
