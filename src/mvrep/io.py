@@ -303,7 +303,6 @@ def parse_ply(path, with_labels: bool = False) -> PointCloud:
         raise CloudFormatError(f"{path}: no vertex element")
     preceding = elements[:element_names.index("vertex")]
     _, vertex_count, vertex_props = elements[len(preceding)]
-    prop_names = [p[1] for p in vertex_props]
 
     def unsupported(reason: str) -> CloudFormatError:
         found = ", ".join(f"{t} {n}" for t, n in vertex_props)
@@ -311,9 +310,9 @@ def parse_ply(path, with_labels: bool = False) -> PointCloud:
 
     if any(t == "list" for t, _ in vertex_props):
         raise unsupported("list property in vertex element")
-    if len(set(prop_names)) != len(prop_names):
-        raise unsupported("duplicate vertex property names")
     types = {n: t for t, n in vertex_props}
+    if len(types) != len(vertex_props):
+        raise unsupported("duplicate vertex property names")
     color_names = ("red", "green", "blue")
     n_colors = sum(c in types for c in color_names)
     if 0 < n_colors < 3:
@@ -348,12 +347,12 @@ def parse_ply(path, with_labels: bool = False) -> PointCloud:
         # and the entries of the elements declared before them.
         skip = raw.count(b"\n", 0, end) + 1 + sum(count for _, count, _ in preceding)
         table = _load_numeric_lines(path, skiprows=skip, max_rows=vertex_count)
-        if table.shape != (vertex_count, len(prop_names)):
+        if table.shape != (vertex_count, len(types)):
             raise CloudFormatError(
                 f"{path}: vertex element declares {vertex_count} lines of "
-                f"{len(prop_names)} fields, found {table.shape[0]} of {table.shape[1]}"
+                f"{len(types)} fields, found {table.shape[0]} of {table.shape[1]}"
             )
-        vertices = dict(zip(prop_names, table.T))
+        vertices = dict(zip(types, table.T))
 
     # Filled column by column, each in one contiguous pass; colors stay 0
     # when the vertices have none.
