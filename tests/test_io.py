@@ -224,6 +224,14 @@ class TestTextRoundTrip:
         with pytest.raises(CloudFormatError, match="line 2"):
             parse_s3dis_room(f)
 
+    # Python's float accepts these tokens; np.loadtxt does not.
+    @pytest.mark.parametrize("token", ["1_0", "１", "٣"], ids=["underscore", "fullwidth", "arabic-indic"])
+    def test_token_only_float_accepts_reports_line_number(self, tmp_path, token):
+        f = tmp_path / "bad.txt"
+        f.write_text(f"1 2 3 4 5 6\n{token} 2 3 4 5 6\n", encoding="utf-8")
+        with pytest.raises(CloudFormatError, match=f"line 2: unparsable field '{token}'"):
+            parse_s3dis_room(f)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("")
