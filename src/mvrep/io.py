@@ -112,6 +112,15 @@ class PointCloud:
         )
 
 
+def _loadtxt_parses(fields: list[str]) -> bool:
+    """Whether ``np.loadtxt`` reads every one of ``fields`` as a float."""
+    try:
+        np.loadtxt(fields, dtype=np.float64)  # one field per row
+    except ValueError:
+        return False
+    return True
+
+
 def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = None) -> np.ndarray:
     """Whitespace-separated numeric table of the file at ``path``, from the
     ``skiprows``-th line on and at most ``max_rows`` data lines long; errors
@@ -123,27 +132,25 @@ def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = No
                 path, dtype=np.float64, ndmin=2, skiprows=skiprows, max_rows=max_rows
             )
     except (ValueError, UnicodeDecodeError):
-        # Re-scan to pin malformed content to a line number.
+        # Re-scan to pin malformed content to a line number.  loadtxt itself
+        # judges each field, so the re-scan rejects exactly what it rejects.
         width = None
         with open(path, "r", errors="replace") as fh:
             for lineno, line in itertools.islice(enumerate(fh, start=1), skiprows, None):
-                body = line.split("#", 1)[0].strip()
-                if not body:
+                fields = line.split("#", 1)[0].split()
+                if not fields:
                     continue
-                fields = body.split()
                 if width is None:
                     width = len(fields)
                 elif len(fields) != width:
                     raise CloudFormatError(
                         f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
                     ) from None
-                for tok in fields:
-                    try:
-                        float(tok)
-                    except ValueError:
-                        raise CloudFormatError(
-                            f"{path}: line {lineno}: unparsable field {tok!r}"
-                        ) from None
+                if not _loadtxt_parses(fields):
+                    tok = next(t for t in fields if not _loadtxt_parses([t]))
+                    raise CloudFormatError(
+                        f"{path}: line {lineno}: unparsable field {tok!r}"
+                    ) from None
         raise CloudFormatError(f"{path}: malformed numeric table") from None
     except OSError as exc:
         raise CloudFormatError(f"{path}: {exc}") from None
