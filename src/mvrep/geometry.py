@@ -228,23 +228,19 @@ class ConvexHull3:
     """Convex hull of a 3D point set.
 
     ``vertex_indices`` is the sorted set of extreme-point indices into the
-    input array.  ``facets`` is an (m, 3) array of index triples whose
-    winding is counter-clockwise seen from outside, i.e. the cross product
-    of the first two edges points away from the interior.
+    input array.
     """
 
     vertex_indices: np.ndarray
-    facets: np.ndarray
 
 
 def convex_hull_3d(points) -> ConvexHull3:
-    """Convex hull with outward-oriented triangular facets.
+    """Extreme points of a 3D point set.
 
     Uses quickhull (qhull via scipy), which is also the one test of
     degeneracy: input that qhull rejects, such as fewer than 4 points or
     points spanning fewer than 3 dimensions, raises
     :class:`DegenerateInputError` carrying the input's dimensionality.
-    Every returned facet is re-oriented so its normal points outward.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -263,12 +259,6 @@ def convex_hull_3d(points) -> ConvexHull3:
         raise DegenerateInputError(
             dim, f"qhull rejected hull input spanning {dim} dimensions ({n} points)"
         ) from exc
-    facets = hull.simplices.copy()
-    normals = hull.equations[:, :3]
-    a, b, c = pts[facets[:, 0]], pts[facets[:, 1]], pts[facets[:, 2]]
-    winding = np.einsum("ij,ij->i", np.cross(b - a, c - a), normals)
-    flip = winding < 0.0
-    facets[flip] = facets[flip][:, [0, 2, 1]]
     # Counting corner uses gives the sorted vertex set without a sort.
-    vertices = np.flatnonzero(np.bincount(facets.ravel(), minlength=n))
-    return ConvexHull3(vertex_indices=vertices, facets=facets)
+    vertices = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=n))
+    return ConvexHull3(vertex_indices=vertices)

@@ -3,6 +3,7 @@
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import ConvexHull
 
 from mvrep.geometry import ConvexHull3
 
@@ -19,21 +20,16 @@ def f1_score(pred: np.ndarray, truth: np.ndarray) -> float:
 
 
 def max_outside_distance(points: np.ndarray, hull: ConvexHull3) -> float:
-    """Largest signed distance of any point outside any hull facet plane.
+    """Largest signed distance of any point outside the hull of
+    ``hull.vertex_indices``, whose facet planes scipy computes here.
 
-    Zero or negative means every point is inside-or-on the hull.
+    Zero or negative means every point is inside-or-on that hull, so no
+    extreme point is missing from the vertex set.
     """
     points = np.asarray(points, dtype=np.float64)
-    a = points[hull.facets[:, 0]]
-    b = points[hull.facets[:, 1]]
-    c = points[hull.facets[:, 2]]
-    normals = np.cross(b - a, c - a)
-    norms = np.linalg.norm(normals, axis=1)
-    keep = norms > 0
-    normals = normals[keep] / norms[keep, None]
-    offsets = np.einsum("ij,ij->i", normals, a[keep])
-    signed = points @ normals.T - offsets
-    return float(signed.max()) if signed.size else 0.0
+    planes = ConvexHull(points[hull.vertex_indices]).equations
+    signed = points @ planes[:, :3].T + planes[:, 3]
+    return float(signed.max())
 
 
 @dataclass(frozen=True)

@@ -310,20 +310,6 @@ class TestConvexHull:
         hull = convex_hull_3d(TETRA)
         np.testing.assert_array_equal(hull.vertex_indices, [0, 1, 2, 3])
 
-    def test_facets_reference_vertices_only(self):
-        hull = convex_hull_3d(TETRA)
-        assert set(np.unique(hull.facets)) == set(hull.vertex_indices)
-        assert hull.facets.shape[1] == 3
-
-    def test_facets_outward_oriented(self, rng):
-        pts = rng.normal(size=(50, 3))
-        hull = convex_hull_3d(pts)
-        centroid = pts[hull.vertex_indices].mean(axis=0)
-        a, b, c = (pts[hull.facets[:, k]] for k in range(3))
-        normals = np.cross(b - a, c - a)
-        outward = np.einsum("ij,ij->i", normals, a - centroid)
-        assert np.all(outward > 0)
-
     def test_all_points_inside(self, rng):
         pts = rng.normal(size=(400, 3))
         hull = convex_hull_3d(pts)
