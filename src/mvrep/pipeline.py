@@ -218,12 +218,14 @@ def generate_multiview(
             )
         )
 
-    uncovered_frustum = 1.0 - float(in_any_frustum.mean())
-    if uncovered_frustum > 0.0:
+    uncovered_frustum = len(cloud) - int(np.count_nonzero(in_any_frustum))
+    if uncovered_frustum:
         logger.warning(
-            "%s: %.4f of points fall in no frustum under this grid/fov config",
+            "%s: %d of %d points (%.4f) fall in no frustum under this grid/fov config",
             cloud.room_id,
             uncovered_frustum,
+            len(cloud),
+            uncovered_frustum / len(cloud),
         )
     coverage = float(covered.mean())
     if coverage < COVERAGE_TARGET:

@@ -152,6 +152,27 @@ class TestGenerateMultiview:
         assert all(len(rows) >= 1 for rows in kept)
         assert all(e.point_count >= 1 for e in manifest.entries)
 
+    @pytest.mark.parametrize("max_depth", [2.4, 2.0])
+    def test_uncovered_frustum_warning_counts_points(self, room, caplog, max_depth):
+        config = small_config(fov=FovSpec(max_depth=max_depth))
+        seen = np.zeros(len(room), dtype=bool)
+        viewpoints = grid_viewpoints(room.bounds, config.grid)
+        for perspective in enumerate_perspectives(viewpoints, config.grid, config.fov):
+            seen |= frustum_mask(room.positions, perspective)
+        missed = int(np.count_nonzero(~seen))
+        assert missed > 0
+        with caplog.at_level("WARNING", logger="mvrep.pipeline"):
+            generate_multiview(room, config)
+        assert (
+            f"{room.room_id}: {missed} of {len(room)} points ({missed / len(room):.4f}) "
+            "fall in no frustum"
+        ) in caplog.text
+
+    def test_no_uncovered_frustum_warning_when_every_point_is_seen(self, room, caplog):
+        with caplog.at_level("WARNING", logger="mvrep.pipeline"):
+            generate_multiview(room, small_config(fov=FovSpec(max_depth=3.0)))
+        assert "no frustum" not in caplog.text
+
 
 def _shell_culls(positions, perspectives):
     """Culled indices per perspective, one viewpoint's headings at a time."""
