@@ -1,5 +1,13 @@
 """Multiview partial point set generation for indoor point clouds."""
 
+import os
+
+# Parallelism here is --jobs worker processes; BLAS is only ever called on
+# small products.  numpy's and scipy's OpenBLAS copies would each start a
+# thread per extra core on load, and importing this package loads numpy, so
+# set the count before any submodule does.  A value already set wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .critical import (
     CriticalReport,
     FeatureBank,

@@ -7,10 +7,14 @@ that such a change comes from the library and not from this package.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mvrep
 from mvrep.cli import main
 from mvrep.io import write_partial_set
 from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
@@ -25,9 +29,23 @@ CRITICAL_SHA256 = "a414af45820c0e930a6d9e2df6d712c0e42f49188ca4d8ca28eb3683d7e45
 HPR_SHA256 = "c15163339da6ab6b6b95b806ae983756030210f9765c8add3ab0032f1c0c400c"
 
 
+def golden_room():
+    return synthetic_room(12_000, size=(4.0, 3.0, 2.5), seed=1)
+
+
 @pytest.fixture(scope="module")
 def room():
-    return synthetic_room(12_000, size=(4.0, 3.0, 2.5), seed=1)
+    return golden_room()
+
+
+def write_generate(room, out: Path, jobs: int) -> None:
+    """The golden generate run: every output of ``room`` written to ``out``."""
+    config = PipelineConfig(
+        grid=GridConfig(spacing=2.0), min_points=50, radius_factor=1000.0, seed=0, jobs=jobs
+    )
+    kept, manifest = generate_multiview(room, config)
+    assert manifest.source_path == ""
+    write_outputs(room, kept, manifest, out)
 
 
 def tree_digest(root: Path) -> str:
@@ -41,12 +59,7 @@ def tree_digest(root: Path) -> str:
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_generate_outputs_match_golden(room, tmp_path, jobs):
-    config = PipelineConfig(
-        grid=GridConfig(spacing=2.0), min_points=50, radius_factor=1000.0, seed=0, jobs=jobs
-    )
-    kept, manifest = generate_multiview(room, config)
-    assert manifest.source_path == ""
-    write_outputs(room, kept, manifest, tmp_path)
+    write_generate(room, tmp_path, jobs)
     assert tree_digest(tmp_path) == GENERATE_SHA256
 
 
@@ -66,3 +79,23 @@ def test_hpr_partial_matches_golden(room, tmp_path):
     viewpoint = ",".join(repr(float(v)) for v in centre)
     assert main(["hpr", "--input", str(src), "--viewpoint", viewpoint, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HPR_SHA256
+
+
+def test_bytes_do_not_depend_on_blas_thread_count(room, tmp_path):
+    # Importing mvrep sets OPENBLAS_NUM_THREADS=1 unless it is already set,
+    # so a child given 2 runs the golden commands on two BLAS threads.
+    src = tmp_path / "golden_room.txt"
+    write_partial_set(room, src)
+    generate_out = tmp_path / "generate"
+    critical_out = tmp_path / "critical.json"
+    code = (
+        "import sys, test_golden as g; "
+        f"g.write_generate(g.golden_room(), g.Path({str(generate_out)!r}), jobs=2); "
+        f"sys.exit(g.main(['critical', '--input', {str(src)!r}, '--out', {str(critical_out)!r}]))"
+    )
+    paths = [str(Path(mvrep.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {k: v for k, v in os.environ.items() if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(paths))
+    subprocess.run([sys.executable, "-c", code], env=env, timeout=300, check=True)
+    assert tree_digest(generate_out) == GENERATE_SHA256
+    assert hashlib.sha256(critical_out.read_bytes()).hexdigest() == CRITICAL_SHA256

@@ -17,10 +17,12 @@ SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 MODULES = ["mvrep"] + [f"mvrep.{m.name}" for m in pkgutil.iter_modules(mvrep.__path__)]
 
 
-def run_script(*argv):
-    """Run python on ``argv`` in a fresh interpreter that imports this ``mvrep``."""
+def run_script(*argv, env=None):
+    """Run python on ``argv`` in a fresh interpreter that imports this ``mvrep``,
+    with ``env`` (by default this process's environment) as its environment."""
     src = str(Path(mvrep.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
     return subprocess.run(
         [sys.executable, *argv],
         env=env, capture_output=True, text=True, timeout=120, check=True,
@@ -61,3 +63,33 @@ def test_cli_import_leaves_scipy_unloaded():
     # Only a hull needs scipy; fuse, stats and critical never load it.
     code = "import sys, mvrep.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     assert run_script("-c", code).stdout.strip() == "[]"
+
+
+# Variables OpenBLAS reads for its thread count, in order of precedence.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+VISIBLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+
+@pytest.mark.skipif(
+    not Path("/proc/self/task").is_dir() or (VISIBLE_CORES or 1) < 2,
+    reason="needs /proc/self/task and at least 2 visible cores",
+)
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "explicit-2"])
+def test_mvrep_process_runs_one_blas_thread(setting):
+    # This process's own ``import mvrep`` has set OPENBLAS_NUM_THREADS, so
+    # the child gets an environment without any BLAS thread variable.
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+    if setting is not None:
+        env["OPENBLAS_NUM_THREADS"] = setting
+    # The hull loads scipy, and with it scipy's own OpenBLAS.
+    code = (
+        "import os, sys, mvrep.cli; from mvrep.geometry import convex_hull_3d; "
+        "convex_hull_3d([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]); "
+        "assert 'scipy.spatial' in sys.modules; "
+        "print(len(os.listdir('/proc/self/task')))"
+    )
+    threads = int(run_script("-c", code, env=env).stdout)
+    if setting is None:
+        assert threads == 1
+    else:
+        assert threads > 1
