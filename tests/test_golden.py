@@ -89,9 +89,10 @@ def test_bytes_do_not_depend_on_blas_thread_count(room, tmp_path):
     generate_out = tmp_path / "generate"
     critical_out = tmp_path / "critical.json"
     code = (
-        "import sys, test_golden as g; "
-        f"g.write_generate(g.golden_room(), g.Path({str(generate_out)!r}), jobs=2); "
-        f"sys.exit(g.main(['critical', '--input', {str(src)!r}, '--out', {str(critical_out)!r}]))"
+        "import sys; from pathlib import Path; from mvrep.cli import main; "
+        "from test_golden import golden_room, write_generate; "
+        f"write_generate(golden_room(), Path({str(generate_out)!r}), jobs=2); "
+        f"sys.exit(main(['critical', '--input', {str(src)!r}, '--out', {str(critical_out)!r}]))"
     )
     paths = [str(Path(mvrep.__file__).resolve().parents[1]), str(Path(__file__).parent)]
     env = {k: v for k, v in os.environ.items() if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
