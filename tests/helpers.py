@@ -7,6 +7,9 @@ from scipy.spatial import ConvexHull
 
 from mvrep.geometry import ConvexHull3
 
+# Variables OpenBLAS reads for its thread count, in order of precedence.
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
 
 def f1_score(pred: np.ndarray, truth: np.ndarray) -> float:
     """F1 of two boolean masks."""

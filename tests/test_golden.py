@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 
 import mvrep
+from helpers import BLAS_THREAD_VARS
 from mvrep.cli import main
 from mvrep.io import write_partial_set
 from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
@@ -95,7 +96,7 @@ def test_bytes_do_not_depend_on_blas_thread_count(room, tmp_path):
         f"sys.exit(main(['critical', '--input', {str(src)!r}, '--out', {str(critical_out)!r}]))"
     )
     paths = [str(Path(mvrep.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-    env = {k: v for k, v in os.environ.items() if k not in ("GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
     env.update(OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(paths))
     subprocess.run([sys.executable, "-c", code], env=env, timeout=300, check=True)
     assert tree_digest(generate_out) == GENERATE_SHA256

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import mvrep
+from helpers import BLAS_THREAD_VARS
 from mvrep.cli import main
 from mvrep.io import read_manifest
 
@@ -65,8 +66,6 @@ def test_cli_import_leaves_scipy_unloaded():
     assert run_script("-c", code).stdout.strip() == "[]"
 
 
-# Variables OpenBLAS reads for its thread count, in order of precedence.
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 VISIBLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
