@@ -1,14 +1,38 @@
 """Small utilities shared by the test modules."""
 
+import os
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 from scipy.spatial import ConvexHull
 
+import mvrep
 from mvrep.geometry import ConvexHull3
 
 # Variables OpenBLAS reads for its thread count, in order of precedence.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+# Settings that make OpenBLAS pick a pre-AVX kernel and numpy its loops for a
+# CPU without AVX-512.  numpy ignores a named feature that the CPU lacks, so
+# on such a CPU, or with an OpenBLAS that ignores its variable, a child run
+# with them takes the paths of this process and checks less.
+DISPATCH_SETTINGS = {
+    "OPENBLAS_CORETYPE": "Prescott",
+    "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR",
+}
+
+
+def child_env(**settings: str) -> dict[str, str]:
+    """Environment of a child Python process that imports this checkout's
+    ``mvrep`` and the test modules: this process's environment without the
+    BLAS thread and dispatch variables, then ``settings`` on top."""
+    dropped = BLAS_THREAD_VARS + tuple(DISPATCH_SETTINGS)
+    env = {k: v for k, v in os.environ.items() if k not in dropped}
+    src, tests = Path(mvrep.__file__).resolve().parents[1], Path(__file__).resolve().parent
+    paths = [str(src), str(tests), env.get("PYTHONPATH", "")]
+    env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
+    env.update(settings)
+    return env
 
 
 def f1_score(pred: np.ndarray, truth: np.ndarray) -> float:

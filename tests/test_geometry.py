@@ -1,13 +1,15 @@
 """Unit tests for camera geometry, the flip map, and the hull wrapper."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from helpers import max_outside_distance
+from helpers import DISPATCH_SETTINGS, child_env, max_outside_distance
 from mvrep.geometry import (
     CULL_BLOCK_ROWS,
     Aabb,
@@ -235,16 +237,23 @@ class TestFrustumBlocks:
         alone = [frustum_mask(candidates[i][None], self.HEADING)[0] for i in sensitive]
         assert alone == together[sensitive].tolist()
 
-    def test_single_depth_survivor_rounds_as_whole_array(self):
+    def _hfov_sweep(self, rng, steps):
+        """``steps`` points at a random depth and height that sweep across the
+        horizontal field-of-view edge in sub-ulp steps."""
         forward, right, up = camera_axes(45.0, 30.0)
+        vp = np.asarray(self.HEADING.viewpoint)
+        half_h = math.radians(_FOV.hfov_deg) / 2.0
+        depth, height = rng.uniform(1.0, 3.0), rng.uniform(-0.5, 0.5)
+        lateral = depth * (math.tan(half_h) + np.linspace(-3e-14, 3e-14, steps))
+        return vp + depth * forward + lateral[:, None] * right + height * up
+
+    def test_single_depth_survivor_rounds_as_whole_array(self):
+        forward, right, _ = camera_axes(45.0, 30.0)
         vp = np.asarray(self.HEADING.viewpoint)
         half_h = math.radians(_FOV.hfov_deg) / 2.0
         rng = np.random.default_rng(10)
         for _ in range(100):
-            # Sweep across the horizontal field-of-view edge in sub-ulp steps.
-            depth, height = rng.uniform(1.0, 3.0), rng.uniform(-0.5, 0.5)
-            lateral = depth * (math.tan(half_h) + np.linspace(-3e-14, 3e-14, 6001))
-            candidates = vp + depth * forward + lateral[:, None] * right + height * up
+            candidates = self._hfov_sweep(rng, 6001)
             rel = candidates - vp
             d = rel @ forward
             many = np.abs(np.arctan2(rel @ right, d)) <= half_h
@@ -256,6 +265,29 @@ class TestFrustumBlocks:
         pts[17] = candidates[int(np.argmax(many != one))]
         np.testing.assert_array_equal(
             frustum_mask(pts, self.HEADING), _unblocked_mask(pts, self.HEADING)
+        )
+
+    @pytest.mark.parametrize("name", sorted(DISPATCH_SETTINGS))
+    def test_rows_cull_alike_on_every_dispatch_path(self, tmp_path, name):
+        # A child process with one dispatch variable set culls rows within a
+        # few ulps of the min-depth plane and of the hfov edge.  Where the CPU
+        # or OpenBLAS does not act on the variable, the child takes this
+        # process's paths and the test checks less.
+        rng = np.random.default_rng(11)
+        sweeps = [self._hfov_sweep(rng, 61) for _ in range(100)]
+        rows = np.vstack([self._min_depth_candidates()[0], *sweeps])
+        np.save(tmp_path / "rows.npy", rows)
+        code = (
+            "import sys, numpy as np; from mvrep.geometry import frustum_mask; "
+            "from test_geometry import TestFrustumBlocks; "
+            "np.save(sys.argv[2], frustum_mask(np.load(sys.argv[1]), TestFrustumBlocks.HEADING))"
+        )
+        subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "rows.npy"), str(tmp_path / "mask.npy")],
+            env=child_env(**{name: DISPATCH_SETTINGS[name]}), timeout=120, check=True,
+        )
+        np.testing.assert_array_equal(
+            np.load(tmp_path / "mask.npy"), frustum_mask(rows, self.HEADING)
         )
 
     def test_empty_cloud(self):

@@ -7,15 +7,13 @@ that such a change comes from the library and not from this package.
 """
 
 import hashlib
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-import mvrep
-from helpers import BLAS_THREAD_VARS
+from helpers import DISPATCH_SETTINGS, child_env
 from mvrep.cli import main
 from mvrep.io import write_partial_set
 from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
@@ -72,14 +70,33 @@ def test_critical_report_matches_golden(room, tmp_path):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITICAL_SHA256
 
 
+def hpr_argv(room, src: Path, out: Path) -> list[str]:
+    """The golden ``mvrep hpr`` command line: ``room`` seen from its centre."""
+    centre = (room.bounds.lo + room.bounds.hi) / 2.0
+    viewpoint = ",".join(repr(float(v)) for v in centre)
+    return ["hpr", "--input", str(src), "--viewpoint", viewpoint, "--out", str(out)]
+
+
 def test_hpr_partial_matches_golden(room, tmp_path):
     src = tmp_path / "golden_room.txt"
     write_partial_set(room, src)
-    centre = (room.bounds.lo + room.bounds.hi) / 2.0
     out = tmp_path / "hpr.txt"
-    viewpoint = ",".join(repr(float(v)) for v in centre)
-    assert main(["hpr", "--input", str(src), "--viewpoint", viewpoint, "--out", str(out)]) == 0
+    assert main(hpr_argv(room, src, out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HPR_SHA256
+
+
+def golden_child_digest(tmp_path: Path, argv: list[str], **settings: str) -> str:
+    """Run the golden generate with 2 workers, then ``mvrep`` on ``argv``, in a
+    child process with ``settings``; return the digest of the generate outputs."""
+    generate_out = tmp_path / "generate"
+    code = (
+        "import sys; from pathlib import Path; from mvrep.cli import main; "
+        "from test_golden import golden_room, write_generate; "
+        f"write_generate(golden_room(), Path({str(generate_out)!r}), jobs=2); "
+        f"sys.exit(main({argv!r}))"
+    )
+    subprocess.run([sys.executable, "-c", code], env=child_env(**settings), timeout=300, check=True)
+    return tree_digest(generate_out)
 
 
 def test_bytes_do_not_depend_on_blas_thread_count(room, tmp_path):
@@ -87,17 +104,18 @@ def test_bytes_do_not_depend_on_blas_thread_count(room, tmp_path):
     # so a child given 2 runs the golden commands on two BLAS threads.
     src = tmp_path / "golden_room.txt"
     write_partial_set(room, src)
-    generate_out = tmp_path / "generate"
-    critical_out = tmp_path / "critical.json"
-    code = (
-        "import sys; from pathlib import Path; from mvrep.cli import main; "
-        "from test_golden import golden_room, write_generate; "
-        f"write_generate(golden_room(), Path({str(generate_out)!r}), jobs=2); "
-        f"sys.exit(main(['critical', '--input', {str(src)!r}, '--out', {str(critical_out)!r}]))"
-    )
-    paths = [str(Path(mvrep.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    env.update(OPENBLAS_NUM_THREADS="2", PYTHONPATH=os.pathsep.join(paths))
-    subprocess.run([sys.executable, "-c", code], env=env, timeout=300, check=True)
-    assert tree_digest(generate_out) == GENERATE_SHA256
-    assert hashlib.sha256(critical_out.read_bytes()).hexdigest() == CRITICAL_SHA256
+    out = tmp_path / "critical.json"
+    argv = ["critical", "--input", str(src), "--out", str(out)]
+    assert golden_child_digest(tmp_path, argv, OPENBLAS_NUM_THREADS="2") == GENERATE_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITICAL_SHA256
+
+
+def test_bytes_do_not_depend_on_cpu_dispatch(room, tmp_path):
+    # ``mvrep critical`` is left out: FeatureBank.evaluate's BLAS product and
+    # np.exp still round differently on these paths (ROADMAP item 6).
+    src = tmp_path / "golden_room.txt"
+    write_partial_set(room, src)
+    out = tmp_path / "hpr.txt"
+    digest = golden_child_digest(tmp_path, hpr_argv(room, src, out), **DISPATCH_SETTINGS)
+    assert digest == GENERATE_SHA256
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == HPR_SHA256

@@ -232,6 +232,35 @@ class TestTextRoundTrip:
         with pytest.raises(CloudFormatError, match=f"line 2: unparsable field '{token}'"):
             parse_s3dis_room(f)
 
+    def test_rescan_reads_lines_in_blocks(self, tmp_path, monkeypatch):
+        f = tmp_path / "bad.txt"
+        f.write_text("1 2 3 4 5 6\n" * 19_999 + "1_0 2 3 4 5 6\n")
+        calls = []
+        loadtxt = np.loadtxt
+        monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or loadtxt(*a, **k))
+        with pytest.raises(CloudFormatError, match="line 20000: unparsable field '1_0'"):
+            parse_s3dis_room(f)
+        assert len(calls) < 20_000 // 8
+
+    # The re-scan reports the first bad line, whichever check it fails.
+    @pytest.mark.parametrize(
+        "bad, message",
+        [
+            ({5000: "1 2 oops 4 5 6", 15000: "1 2 3 4 5"}, "line 5000: unparsable field 'oops'"),
+            ({5000: "1 2 3 4 5", 15000: "1 2 oops 4 5 6"}, "line 5000: expected 6 fields, got 5"),
+            ({4999: "1 2 oops 4 5 6", 5000: "1 2 3 4 5"}, "line 4999: unparsable field 'oops'"),
+        ],
+        ids=["field-first", "width-first", "field-then-width"],
+    )
+    def test_rescan_reports_first_bad_line(self, tmp_path, bad, message):
+        lines = ["1 2 3 4 5 6"] * 20_000
+        for lineno, line in bad.items():
+            lines[lineno - 1] = line
+        f = tmp_path / "bad.txt"
+        f.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CloudFormatError, match=message):
+            parse_s3dis_room(f)
+
     def test_empty_file(self, tmp_path):
         f = tmp_path / "empty.txt"
         f.write_text("")

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import mvrep
-from helpers import BLAS_THREAD_VARS
+from helpers import child_env
 from mvrep.cli import main
 from mvrep.io import read_manifest
 
@@ -73,13 +73,12 @@ VISIBLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     not Path("/proc/self/task").is_dir() or (VISIBLE_CORES or 1) < 2,
     reason="needs /proc/self/task and at least 2 visible cores",
 )
-@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "explicit-2"])
-def test_mvrep_process_runs_one_blas_thread(setting):
+@pytest.mark.parametrize(
+    "settings", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "explicit-2"]
+)
+def test_mvrep_process_runs_one_blas_thread(settings):
     # This process's own ``import mvrep`` has set OPENBLAS_NUM_THREADS, so
     # the child gets an environment without any BLAS thread variable.
-    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
-    if setting is not None:
-        env["OPENBLAS_NUM_THREADS"] = setting
     # The hull loads scipy, and with it scipy's own OpenBLAS.
     code = (
         "import os, sys, mvrep.cli; from mvrep.geometry import convex_hull_3d; "
@@ -87,8 +86,8 @@ def test_mvrep_process_runs_one_blas_thread(setting):
         "assert 'scipy.spatial' in sys.modules; "
         "print(len(os.listdir('/proc/self/task')))"
     )
-    threads = int(run_script("-c", code, env=env).stdout)
-    if setting is None:
-        assert threads == 1
-    else:
+    threads = int(run_script("-c", code, env=child_env(**settings)).stdout)
+    if settings:
         assert threads > 1
+    else:
+        assert threads == 1
