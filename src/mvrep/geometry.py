@@ -137,40 +137,35 @@ def camera_axes(yaw_deg: float, pitch_deg: float) -> tuple[np.ndarray, np.ndarra
 def frustum_mask(points, perspective: Perspective) -> np.ndarray:
     """Vectorized frustum test.
 
-    A point is inside when its forward depth d satisfies
-    ``min_depth <= d <= max_depth`` and both angular offsets
-    ``|atan2(lateral, d)| <= hfov/2`` and ``|atan2(vertical, d)| <= vfov/2``
-    hold.  All bounds are inclusive, so boundary points count as inside.
-    A row culled alone gets the same answer as among many rows.
+    With ``(x, y, z)`` a point minus the viewpoint and ``(f, r, u)`` the
+    camera axes, the depth is ``d = x*f[0] + y*f[1] + z*f[2]``, and the
+    lateral and vertical offsets are the same sums over ``r`` and ``u``.  A
+    point is inside when ``min_depth <= d <= max_depth``,
+    ``|lateral| <= d * tan(hfov/2)`` and ``|vertical| <= d * tan(vfov/2)``.
+    All bounds are inclusive, so boundary points count as inside.  Every
+    step is one correctly rounded float operation per row, so a row's result
+    depends on neither the rows beside it nor the CPU's SIMD code path.
 
     Returns:
         Boolean mask of shape (n,).
     """
     pts = _as_points(points)
-    n = pts.shape[0]
-    # numpy rounds a one-row product differently from a many-row one, so
-    # every product here spans at least two rows: a lone row is culled as
-    # two copies of itself, and a one-row tail block starts one row early.
-    if n == 1:
-        pts = np.repeat(pts, 2, axis=0)
     fov = perspective.fov
-    forward, right, up = camera_axes(perspective.yaw_deg, perspective.pitch_deg)
+    f, r, u = camera_axes(perspective.yaw_deg, perspective.pitch_deg)
     vp = np.asarray(perspective.viewpoint, dtype=np.float64)
-    half_h = math.radians(fov.hfov_deg) / 2.0
-    half_v = math.radians(fov.vfov_deg) / 2.0
+    tan_h = math.tan(math.radians(fov.hfov_deg) / 2.0)
+    tan_v = math.tan(math.radians(fov.vfov_deg) / 2.0)
     mask = np.zeros(len(pts), dtype=bool)
-    # Block by block, the arctan2 tests run only on rows inside the depth
-    # window.
+    # Block by block, the side tests run only on rows inside the depth window.
     for start in range(0, len(pts), CULL_BLOCK_ROWS):
-        start = min(start, len(pts) - 2)
-        rel = pts[start:start + CULL_BLOCK_ROWS] - vp
-        d = rel @ forward
+        x, y, z = (pts[start:start + CULL_BLOCK_ROWS] - vp).T
+        d = x * f[0] + y * f[1] + z * f[2]
         near = np.flatnonzero((d >= fov.min_depth) & (d <= fov.max_depth))
-        d = d[near]
-        inside = np.abs(np.arctan2((rel @ right)[near], d)) <= half_h
-        inside &= np.abs(np.arctan2((rel @ up)[near], d)) <= half_v
+        x, y, z, d = x[near], y[near], z[near], d[near]
+        inside = np.abs(x * r[0] + y * r[1] + z * r[2]) <= d * tan_h
+        inside &= np.abs(x * u[0] + y * u[1] + z * u[2]) <= d * tan_v
         mask[start + near] = inside
-    return mask[:n]
+    return mask
 
 
 def spherical_flip(points, viewpoint, radius: float) -> np.ndarray:

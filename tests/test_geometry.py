@@ -135,27 +135,28 @@ class TestFrustum:
 
 
 def _unblocked_mask(points, perspective):
-    """The cull as one whole-array pass: the reference for the blocked one."""
+    """The cull evaluated row by row in Python floats: the reference for the
+    blocked numpy one, sharing none of numpy's code paths."""
     fov = perspective.fov
-    forward, right, up = camera_axes(perspective.yaw_deg, perspective.pitch_deg)
-    rel = points - np.asarray(perspective.viewpoint, dtype=np.float64)
-    d = rel @ forward
-    lateral = rel @ right
-    vertical = rel @ up
-    mask = (d >= fov.min_depth) & (d <= fov.max_depth)
-    mask &= np.abs(np.arctan2(lateral, d)) <= math.radians(fov.hfov_deg) / 2.0
-    mask &= np.abs(np.arctan2(vertical, d)) <= math.radians(fov.vfov_deg) / 2.0
-    return mask
+    f, r, u = (axis.tolist() for axis in camera_axes(perspective.yaw_deg, perspective.pitch_deg))
+    vp = [float(c) for c in perspective.viewpoint]
+    tan_h = math.tan(math.radians(fov.hfov_deg) / 2.0)
+    tan_v = math.tan(math.radians(fov.vfov_deg) / 2.0)
+    mask = []
+    for p in np.asarray(points, dtype=np.float64).tolist():
+        x, y, z = p[0] - vp[0], p[1] - vp[1], p[2] - vp[2]
+        d = x * f[0] + y * f[1] + z * f[2]
+        mask.append(
+            fov.min_depth <= d <= fov.max_depth
+            and abs(x * r[0] + y * r[1] + z * r[2]) <= d * tan_h
+            and abs(x * u[0] + y * u[1] + z * u[2]) <= d * tan_v
+        )
+    return np.array(mask, dtype=bool)
 
 
 def _fov_edge(half_angle, d=2.0):
-    """Largest offset whose angle at depth ``d`` is still within ``half_angle``."""
-    y = d * math.tan(half_angle)
-    while np.arctan2(y, d) > half_angle:
-        y = np.nextafter(y, 0.0)
-    while np.arctan2(np.nextafter(y, np.inf), d) <= half_angle:
-        y = np.nextafter(y, np.inf)
-    return float(y)
+    """Largest offset at depth ``d`` still within ``half_angle`` of the axis."""
+    return d * math.tan(half_angle)
 
 
 _FOV = FovSpec()
@@ -206,9 +207,9 @@ class TestFrustumBlocks:
                 frustum_mask(cloud, perspective), _unblocked_mask(cloud, perspective)
             )
 
-    # A product over one row may round differently from the product over
-    # many rows.  These two tests place a point whose cull result depends on
-    # that rounding where a blocked cull could compute it on its own.
+    # A BLAS product over one row may round differently from the product
+    # over many rows.  These tests place a point whose result under such a
+    # product depends on that rounding where a blocked cull sees it alone.
     HEADING = _perspective(viewpoint=(0.3, -0.2, 1.5), yaw=45.0, pitch=30.0)
 
     def _min_depth_candidates(self):
