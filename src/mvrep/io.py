@@ -112,6 +112,10 @@ class PointCloud:
         )
 
 
+# Lines whose fields one ``np.loadtxt`` call judges in a malformed-table re-scan.
+_RESCAN_BLOCK_LINES = 2048
+
+
 def _loadtxt_parses(fields: list[str]) -> bool:
     """Whether ``np.loadtxt`` reads every one of ``fields`` as a float."""
     try:
@@ -119,6 +123,17 @@ def _loadtxt_parses(fields: list[str]) -> bool:
     except ValueError:
         return False
     return True
+
+
+def _check_fields(path: Path, lines: list[tuple[int, list[str]]]) -> None:
+    """Raise for the first of ``lines``, given as (line number, fields), with
+    a field that ``np.loadtxt`` does not read as a float."""
+    if not lines or _loadtxt_parses([tok for _, fields in lines for tok in fields]):
+        return
+    for lineno, fields in lines:
+        if not _loadtxt_parses(fields):
+            tok = next(t for t in fields if not _loadtxt_parses([t]))
+            raise CloudFormatError(f"{path}: line {lineno}: unparsable field {tok!r}") from None
 
 
 def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = None) -> np.ndarray:
@@ -134,7 +149,10 @@ def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = No
     except (ValueError, UnicodeDecodeError):
         # Re-scan to pin malformed content to a line number.  loadtxt itself
         # judges each field, so the re-scan rejects exactly what it rejects.
+        # One call judges a block of lines, and the lines before a ragged one
+        # are judged before it is reported, so the first bad line is named.
         width = None
+        block: list[tuple[int, list[str]]] = []
         with open(path, "r", errors="replace") as fh:
             for lineno, line in itertools.islice(enumerate(fh, start=1), skiprows, None):
                 fields = line.split("#", 1)[0].split()
@@ -143,14 +161,15 @@ def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = No
                 if width is None:
                     width = len(fields)
                 elif len(fields) != width:
+                    _check_fields(path, block)
                     raise CloudFormatError(
                         f"{path}: line {lineno}: expected {width} fields, got {len(fields)}"
                     ) from None
-                if not _loadtxt_parses(fields):
-                    tok = next(t for t in fields if not _loadtxt_parses([t]))
-                    raise CloudFormatError(
-                        f"{path}: line {lineno}: unparsable field {tok!r}"
-                    ) from None
+                block.append((lineno, fields))
+                if len(block) == _RESCAN_BLOCK_LINES:
+                    _check_fields(path, block)
+                    block = []
+        _check_fields(path, block)
         raise CloudFormatError(f"{path}: malformed numeric table") from None
     except OSError as exc:
         raise CloudFormatError(f"{path}: {exc}") from None
