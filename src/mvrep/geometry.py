@@ -137,14 +137,12 @@ def camera_axes(yaw_deg: float, pitch_deg: float) -> tuple[np.ndarray, np.ndarra
 def frustum_mask(points, perspective: Perspective) -> np.ndarray:
     """Vectorized frustum test.
 
-    With ``(x, y, z)`` a point minus the viewpoint and ``(f, r, u)`` the
-    camera axes, the depth is ``d = x*f[0] + y*f[1] + z*f[2]``, and the
-    lateral and vertical offsets are the same sums over ``r`` and ``u``.  A
-    point is inside when ``min_depth <= d <= max_depth``,
-    ``|lateral| <= d * tan(hfov/2)`` and ``|vertical| <= d * tan(vfov/2)``.
-    All bounds are inclusive, so boundary points count as inside.  Every
-    step is one correctly rounded float operation per row, so a row's result
-    depends on neither the rows beside it nor the CPU's SIMD code path.
+    With ``(x, y, z)`` a point minus the viewpoint, its depth ``d``, lateral
+    and vertical offsets are ``x*a[0] + y*a[1] + z*a[2]`` on the forward,
+    right and up axes ``a``.  A point is inside when ``min_depth <= d <=
+    max_depth``, ``|lateral| <= d * tan(hfov/2)`` and ``|vertical| <= d *
+    tan(vfov/2)``, all bounds inclusive.  Each step rounds once per row, so
+    a row's result depends on no other row and on no BLAS or SIMD code path.
 
     Returns:
         Boolean mask of shape (n,).

@@ -112,7 +112,7 @@ class PointCloud:
         )
 
 
-# Lines whose fields one ``np.loadtxt`` call judges in a malformed-table re-scan.
+# Lines per ``np.loadtxt`` call in the re-scan of a malformed table.
 _RESCAN_BLOCK_LINES = 2048
 
 
@@ -128,12 +128,10 @@ def _loadtxt_parses(fields: list[str]) -> bool:
 def _check_fields(path: Path, lines: list[tuple[int, list[str]]]) -> None:
     """Raise for the first of ``lines``, given as (line number, fields), with
     a field that ``np.loadtxt`` does not read as a float."""
-    if not lines or _loadtxt_parses([tok for _, fields in lines for tok in fields]):
-        return
-    for lineno, fields in lines:
-        if not _loadtxt_parses(fields):
-            tok = next(t for t in fields if not _loadtxt_parses([t]))
-            raise CloudFormatError(f"{path}: line {lineno}: unparsable field {tok!r}") from None
+    if lines and not _loadtxt_parses([tok for _, fields in lines for tok in fields]):
+        lineno, fields = next(line for line in lines if not _loadtxt_parses(line[1]))
+        tok = next(t for t in fields if not _loadtxt_parses([t]))
+        raise CloudFormatError(f"{path}: line {lineno}: unparsable field {tok!r}") from None
 
 
 def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = None) -> np.ndarray:
