@@ -13,9 +13,10 @@ from mvrep.geometry import ConvexHull3
 # Variables OpenBLAS reads for its thread count, in order of precedence.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 # Settings that make OpenBLAS pick a pre-AVX kernel and numpy its loops for a
-# CPU without AVX-512.  numpy ignores a named feature that the CPU lacks, so
-# on such a CPU, or with an OpenBLAS that ignores its variable, a child run
-# with them takes the paths of this process and checks less.
+# CPU without AVX-512.  numpy starts even when it does not know a named
+# feature.  On a CPU without AVX-512, or with an OpenBLAS that ignores its
+# variable, a child run with them may take this process's paths and so
+# checks less.
 DISPATCH_SETTINGS = {
     "OPENBLAS_CORETYPE": "Prescott",
     "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR",

@@ -19,14 +19,12 @@ MODULES = ["mvrep"] + [f"mvrep.{m.name}" for m in pkgutil.iter_modules(mvrep.__p
 
 
 def run_script(*argv, env=None):
-    """Run python on ``argv`` in a fresh interpreter that imports this ``mvrep``,
-    with ``env`` (by default this process's environment) as its environment."""
-    src = str(Path(mvrep.__file__).resolve().parents[1])
-    env = dict(os.environ if env is None else env)
-    env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+    """Run python on ``argv`` in a fresh interpreter with ``env``, by default
+    ``child_env()``, as its environment."""
     return subprocess.run(
         [sys.executable, *argv],
-        env=env, capture_output=True, text=True, timeout=120, check=True,
+        env=child_env() if env is None else env,
+        capture_output=True, text=True, timeout=120, check=True,
     )
 
 
@@ -73,12 +71,11 @@ VISIBLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
     not Path("/proc/self/task").is_dir() or (VISIBLE_CORES or 1) < 2,
     reason="needs /proc/self/task and at least 2 visible cores",
 )
-@pytest.mark.parametrize(
-    "settings", [{}, {"OPENBLAS_NUM_THREADS": "2"}], ids=["unset", "explicit-2"]
-)
-def test_mvrep_process_runs_one_blas_thread(settings):
+@pytest.mark.parametrize("setting", [None, "2"], ids=["unset", "explicit-2"])
+def test_mvrep_process_runs_one_blas_thread(setting):
     # This process's own ``import mvrep`` has set OPENBLAS_NUM_THREADS, so
     # the child gets an environment without any BLAS thread variable.
+    env = child_env() if setting is None else child_env(OPENBLAS_NUM_THREADS=setting)
     # The hull loads scipy, and with it scipy's own OpenBLAS.
     code = (
         "import os, sys, mvrep.cli; from mvrep.geometry import convex_hull_3d; "
@@ -86,8 +83,8 @@ def test_mvrep_process_runs_one_blas_thread(settings):
         "assert 'scipy.spatial' in sys.modules; "
         "print(len(os.listdir('/proc/self/task')))"
     )
-    threads = int(run_script("-c", code, env=child_env(**settings)).stdout)
-    if settings:
-        assert threads > 1
-    else:
+    threads = int(run_script("-c", code, env=env).stdout)
+    if setting is None:
         assert threads == 1
+    else:
+        assert threads > 1
