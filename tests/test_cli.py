@@ -187,6 +187,37 @@ class TestHpr:
         assert code == 2
 
 
+# Flags whose value parses as a float but is not finite where a finite
+# number is needed: (command, flag, value).
+NON_FINITE_FLAGS = [
+    ("hpr", "--viewpoint", "nan,1,1"),
+    ("hpr", "--viewpoint", "inf,1,1"),
+    ("hpr", "--radius-factor", "inf"),
+    ("generate", "--radius-factor", "inf"),
+    ("generate", "--camera-height", "nan"),
+    ("generate", "--yaw-steps", "nan,0"),
+    ("generate", "--pitch-steps", "0,inf"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", NON_FINITE_FLAGS)
+def test_non_finite_flag_is_config_error_before_input_is_read(
+    tmp_path, capsys, command, flag, value
+):
+    missing = tmp_path / "no_such_room.txt"
+    argv = [command, "--input", str(missing), "--out", str(tmp_path / "out"), flag, value]
+    if command == "hpr" and flag != "--viewpoint":
+        argv += ["--viewpoint", "2,1.5,1.5"]
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", [["--max-depth", "inf"], ["--spacing", "inf"]])
+def test_infinite_far_plane_and_spacing_stay_valid(room_file, tmp_path, flag):
+    # No far plane, and viewpoints on the corners of the bounds.
+    assert run_generate(room_file, tmp_path / "mv", *flag) == 0
+
+
 @pytest.fixture(scope="module")
 def manifest_dir(room_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("manifests")

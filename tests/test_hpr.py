@@ -39,6 +39,15 @@ class TestSmallInputs:
             visible_points(np.array([[1.0, 0, 0]]), np.zeros(3), 0.5)
 
 
+    @pytest.mark.parametrize(
+        "viewpoint, radius_factor",
+        [((np.nan, 0, 0), 1000.0), ((np.inf, 0, 0), 1000.0), ((0, 0, 0), np.inf)],
+    )
+    def test_non_finite_viewpoint_or_radius_factor_rejected(self, viewpoint, radius_factor):
+        with pytest.raises(ValueError, match="finite"):
+            visible_points(np.array([[1.0, 0, 0]]), viewpoint, radius_factor)
+
+
 class TestOcclusion:
     def test_two_points_on_one_ray(self):
         # The pair sits on the +x ray inside a far surrounding shell, so the

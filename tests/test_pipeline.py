@@ -66,6 +66,8 @@ class TestPipelineConfig:
             PipelineConfig(min_points=-1)
         with pytest.raises(ValueError, match="radius_factor"):
             PipelineConfig(radius_factor=0.5)
+        with pytest.raises(ValueError, match="radius_factor"):
+            PipelineConfig(radius_factor=float("inf"))
         with pytest.raises(ValueError, match="jobs"):
             PipelineConfig(jobs=0)
 

@@ -58,6 +58,16 @@ def test_exports_resolve(name):
     assert missing == []
 
 
+def test_package_import_sets_blas_default_and_loads_nothing():
+    # Each public name is imported from its module, so ``import mvrep``
+    # itself only sets the BLAS thread default.
+    code = (
+        "import os, sys, mvrep; print(os.environ.get('OPENBLAS_NUM_THREADS'), "
+        "sorted(m for m in sys.modules if m == 'numpy' or m.startswith('mvrep.')))"
+    )
+    assert run_script("-c", code).stdout.strip() == "1 []"
+
+
 def test_cli_import_leaves_scipy_unloaded():
     # Only a hull needs scipy; fuse, stats and critical never load it.
     code = "import sys, mvrep.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"

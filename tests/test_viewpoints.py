@@ -36,6 +36,20 @@ class TestGridConfig:
             GridConfig(yaw_steps=())
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"camera_height": float("nan")},
+            {"camera_height": float("inf")},
+            {"yaw_steps": (float("nan"), 0.0)},
+            {"pitch_steps": (0.0, float("inf"))},
+        ],
+    )
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
+            GridConfig(**kwargs)
+
+
 class TestGridViewpoints:
     def test_exact_multiple_extent(self):
         vps = grid_viewpoints(box((8.0, 4.0, 3.0)), GridConfig())
