@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import defaultdict
@@ -174,12 +175,14 @@ def cmd_hpr(args) -> int:
         viewpoint = tuple(float(tok) for tok in tokens)
     except ValueError:
         raise ConfigError(f"--viewpoint expects numbers, got {args.viewpoint!r}") from None
+    if not all(map(math.isfinite, viewpoint)):
+        raise ConfigError(f"--viewpoint expects finite numbers, got {args.viewpoint!r}")
     try:
         radius_factor = float(args.radius_factor)
     except ValueError:
         raise ConfigError(f"--radius-factor expects a number, got {args.radius_factor!r}") from None
-    if not radius_factor >= 1.0:
-        raise ConfigError(f"--radius-factor must be >= 1, got {radius_factor}")
+    if not 1.0 <= radius_factor < math.inf:
+        raise ConfigError(f"--radius-factor must be finite and >= 1, got {radius_factor}")
     cloud = _load_cloud(args.input)
     visible = visible_points(cloud.positions, viewpoint, radius_factor)
     write_partial_set(cloud.subset(visible), args.out)

@@ -135,14 +135,6 @@ class InvarianceReport:
     report: CriticalReport
 
     @property
-    def u(self) -> np.ndarray:
-        return self.report.u
-
-    @property
-    def critical_indices(self) -> np.ndarray:
-        return self.report.critical_indices
-
-    @property
     def passed(self) -> bool:
         return not self.failures
 
@@ -151,8 +143,8 @@ class InvarianceReport:
             "trials": self.trials,
             "failures": [int(t) for t in self.failures],
             "passed": self.passed,
-            "u": [float(v) for v in self.u],
-            "critical_indices": [int(i) for i in self.critical_indices],
+            "u": [float(v) for v in self.report.u],
+            "critical_indices": [int(i) for i in self.report.critical_indices],
         }
 
 

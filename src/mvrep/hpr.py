@@ -28,9 +28,9 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
 
     Args:
         points: (n, 3) array or PointCloud-like object.
-        viewpoint: camera position.
+        viewpoint: finite camera position.
         radius_factor: flip radius as a multiple of the farthest point
-            distance; must be >= 1 so the flip sphere covers the set.
+            distance; must be finite and >= 1 so the flip sphere covers the set.
             Densely sampled convex exteriors are insensitive to it over
             10..1000, but concave interiors (rooms) lose grazing surfaces
             badly below a few hundred, hence the large default.  Very large
@@ -48,9 +48,11 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
     n = pts.shape[0]
     if n == 0:
         raise ValueError("visibility of an empty point set is undefined")
-    if not radius_factor >= 1.0:
-        raise ValueError(f"radius_factor must be >= 1, got {radius_factor}")
+    if not 1.0 <= radius_factor < np.inf:
+        raise ValueError(f"radius_factor must be finite and >= 1, got {radius_factor}")
     vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
+    if not np.isfinite(vp).all():
+        raise ValueError(f"viewpoint must be finite, got {vp.tolist()}")
 
     dists = np.linalg.norm(pts - vp, axis=1)
     nearest = int(np.argmin(dists))

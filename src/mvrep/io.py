@@ -91,9 +91,15 @@ class PointCloud:
             col = col.astype(np.uint8)
         lab = self.labels
         if lab is not None:
-            lab = np.asarray(lab, dtype=np.int32)
+            lab = np.asarray(lab)
             if lab.shape != (pos.shape[0],):
                 raise ValueError(f"labels shape {lab.shape} does not match point count")
+            if lab.dtype != np.int32:
+                with np.errstate(invalid="ignore"):
+                    cast = lab.astype(np.int32)
+                if np.any(cast != lab):
+                    raise ValueError("labels must be integers in the int32 range")
+                lab = cast
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "colors", col)
         object.__setattr__(self, "labels", lab)

@@ -74,8 +74,8 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         if self.min_points < 0:
             raise ValueError(f"min_points must be >= 0, got {self.min_points}")
-        if not self.radius_factor >= 1.0:
-            raise ValueError(f"radius_factor must be >= 1, got {self.radius_factor}")
+        if not 1.0 <= self.radius_factor < np.inf:
+            raise ValueError(f"radius_factor must be finite and >= 1, got {self.radius_factor}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 

@@ -27,8 +27,12 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not self.spacing > 0.0:
             raise ValueError(f"spacing must be positive, got {self.spacing}")
+        if not math.isfinite(self.camera_height):
+            raise ValueError(f"camera_height must be finite, got {self.camera_height}")
         if not self.yaw_steps or not self.pitch_steps:
             raise ValueError("yaw_steps and pitch_steps must be non-empty")
+        if not all(map(math.isfinite, (*self.yaw_steps, *self.pitch_steps))):
+            raise ValueError("yaw_steps and pitch_steps must be finite")
 
 
 def _axis_lines(lo: float, hi: float, spacing: float) -> list[float]:
