@@ -72,23 +72,27 @@ class TestPointCloud:
                 "labels": None,
             },
             {"positions": np.zeros((2, 3)), "colors": np.zeros((2, 3)), "labels": [1]},
+            # Labels that the int32 cast would change.
+            {
+                "positions": np.zeros((2, 3)),
+                "colors": np.zeros((2, 3)),
+                "labels": np.array([3_000_000_000, 2.7]),
+            },
+            {
+                "positions": np.zeros((2, 3)),
+                "colors": np.zeros((2, 3)),
+                "labels": np.array([3_000_000_000, 2], dtype=np.int64),
+            },
+            {
+                "positions": np.zeros((2, 3)),
+                "colors": np.zeros((2, 3)),
+                "labels": np.array([1.0, np.nan]),
+            },
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             PointCloud(**kwargs)
-
-    @pytest.mark.parametrize(
-        "labels",
-        [
-            np.array([3_000_000_000, 2.7]),
-            np.array([3_000_000_000, 2], dtype=np.int64),
-            np.array([1.0, np.nan]),
-        ],
-    )
-    def test_labels_the_int32_cast_changes_rejected(self, labels):
-        with pytest.raises(ValueError, match="labels"):
-            PointCloud(positions=np.zeros((2, 3)), colors=np.zeros((2, 3)), labels=labels)
 
     def test_subset_preserves_columns(self):
         c = small_cloud()
