@@ -215,7 +215,9 @@ def test_non_finite_flag_is_config_error_before_input_is_read(
 @pytest.mark.parametrize("flag", [["--max-depth", "inf"], ["--spacing", "inf"]])
 def test_infinite_far_plane_and_spacing_stay_valid(room_file, tmp_path, flag):
     # No far plane, and viewpoints on the corners of the bounds.
-    assert run_generate(room_file, tmp_path / "mv", *flag) == 0
+    out = tmp_path / "mv"
+    assert run_generate(room_file, out, *flag) == 0
+    assert read_manifest(out / "Area_1_office_9_manifest.json").entries
 
 
 @pytest.fixture(scope="module")

@@ -59,6 +59,10 @@ class TestGridViewpoints:
         assert ys == [0.0, 4.0]
         assert len(vps) == 6
 
+    def test_infinite_spacing_puts_viewpoints_on_the_corners(self):
+        vps = grid_viewpoints(box((4.0, 3.0, 2.5)), GridConfig(spacing=float("inf")))
+        np.testing.assert_array_equal(vps, [[0, 0, 1.5], [0, 3, 1.5], [4, 0, 1.5], [4, 3, 1.5]])
+
     def test_boundary_line_appended(self):
         vps = grid_viewpoints(box((8.0, 6.0, 3.0)), GridConfig())
         ys = sorted(set(vps[:, 1]))
