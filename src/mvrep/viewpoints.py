@@ -40,7 +40,9 @@ def _axis_lines(lo: float, hi: float, spacing: float) -> list[float]:
     # Tolerate float noise so an exact multiple lands on the boundary line
     # instead of duplicating it.
     steps = int(math.floor(extent / spacing + 1e-9))
-    lines = [lo + k * spacing for k in range(steps + 1)]
+    # 0 * spacing is nan for an infinite spacing; lo + 0.0 is the first line
+    # that every finite spacing gives.
+    lines = [lo + 0.0] + [lo + k * spacing for k in range(1, steps + 1)]
     if hi - lines[-1] > 1e-9 * max(extent, 1.0):
         lines.append(hi)
     return lines
