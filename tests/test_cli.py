@@ -7,7 +7,7 @@ import pytest
 
 from mvrep.cli import main
 from mvrep.critical import FeatureBank
-from mvrep.io import parse_s3dis_room, read_manifest, write_partial_set
+from mvrep.io import parse_s3dis_room, read_manifest, write_manifest, write_partial_set
 from mvrep.pipeline import PipelineConfig
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig
@@ -217,7 +217,18 @@ def test_infinite_far_plane_and_spacing_stay_valid(room_file, tmp_path, flag):
     # No far plane, and viewpoints on the corners of the bounds.
     out = tmp_path / "mv"
     assert run_generate(room_file, out, *flag) == 0
-    assert read_manifest(out / "Area_1_office_9_manifest.json").entries
+    path = out / "Area_1_office_9_manifest.json"
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    # Strict JSON: a reader outside Python rejects Infinity and NaN.
+    json.loads(path.read_text(), parse_constant=reject)
+    manifest = read_manifest(path)
+    assert manifest.entries
+    again = tmp_path / "again.json"
+    write_manifest(manifest, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 @pytest.fixture(scope="module")
