@@ -514,7 +514,7 @@ def write_manifest(manifest: MultiviewManifest, path) -> None:
     doc = asdict(manifest)
     doc["entries"] = sorted(doc["entries"], key=lambda e: e["perspective_id"])
     doc["totals"] = {"original_sets": 1, "partial_sets": len(ids)}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     with _replacing(path) as fh:
         fh.write(text.encode())
 

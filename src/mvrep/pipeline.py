@@ -81,13 +81,14 @@ class PipelineConfig:
 
     def echo(self) -> dict:
         """Generation-relevant parameters; excludes jobs, which must never
-        influence the produced bytes."""
+        influence the produced bytes.  An infinite ``max_depth`` (no far
+        plane) or ``spacing`` (one cell) is echoed as None, JSON's null."""
         return {
             "hfov_deg": self.fov.hfov_deg,
             "vfov_deg": self.fov.vfov_deg,
             "min_depth": self.fov.min_depth,
-            "max_depth": self.fov.max_depth,
-            "spacing": self.grid.spacing,
+            "max_depth": None if self.fov.max_depth == np.inf else self.fov.max_depth,
+            "spacing": None if self.grid.spacing == np.inf else self.grid.spacing,
             "camera_height": self.grid.camera_height,
             "yaw_steps": list(self.grid.yaw_steps),
             "pitch_steps": list(self.grid.pitch_steps),
@@ -99,7 +100,7 @@ class PipelineConfig:
         }
 
     def config_hash(self) -> str:
-        canonical = json.dumps(self.echo(), sort_keys=True)
+        canonical = json.dumps(self.echo(), sort_keys=True, allow_nan=False)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 
 

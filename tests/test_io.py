@@ -512,6 +512,14 @@ class TestManifest:
         with pytest.raises(ValueError, match="below"):
             write_manifest(m, tmp_path / "m.json")
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        m = _manifest()
+        m.config["max_depth"] = float("inf")
+        path = tmp_path / "m.json"
+        with pytest.raises(ValueError, match="JSON"):
+            write_manifest(m, path)
+        assert not path.exists()
+
     def test_corrupt_json(self, tmp_path):
         path = tmp_path / "m.json"
         path.write_text("{not json")
