@@ -20,7 +20,7 @@ from scipy.spatial.transform import Rotation
 
 from helpers import CoordinateBank, f1_score, max_outside_distance
 from mvrep.cli import main
-from mvrep.critical import FeatureBank, critical_set, verify_monotonicity, verify_subset_invariance
+from mvrep.critical import FeatureBank, critical_set, verify_subset_invariance
 from mvrep.geometry import (
     FovSpec,
     Perspective,
@@ -215,6 +215,9 @@ class TestCriticalSetIdentities:
 
 
 class TestEmbeddingChainMechanics:
+    """u(sparse) <= u(sparse + partials) <= u(dense) when sparse and the
+    partials are subsets of dense; u is the max-pooled embedding."""
+
     def test_no_violations_over_100_seeds(self):
         for seed in range(100):
             dense = np.random.default_rng(seed).uniform(-1.0, 2.0, size=(300, 3))
@@ -224,16 +227,20 @@ class TestEmbeddingChainMechanics:
                 dense[rng.choice(300, size=40, replace=False)] for _ in range(2)
             ]
             bank = FeatureBank.rbf(bounding_box(dense), k=16, seed=seed)
-            assert verify_monotonicity(dense, sparse, partials, bank).passed
+            u_sparse = bank.evaluate(sparse).max(axis=0)
+            u_fused = bank.evaluate(np.vstack([sparse, *partials])).max(axis=0)
+            u_dense = bank.evaluate(dense).max(axis=0)
+            assert np.all(u_sparse <= u_fused)
+            assert np.all(u_fused <= u_dense)
 
     def test_partials_inside_downsample_leave_u_unchanged(self):
         dense = np.random.default_rng(7).uniform(-1.0, 2.0, size=(200, 3))
         sparse = dense[:60]
         bank = FeatureBank.rbf(bounding_box(dense), k=12, seed=7)
-        report = verify_monotonicity(dense, sparse, [sparse[:9], sparse[30:44]], bank)
-        assert report.partials_within_sparse
-        assert report.passed
-        np.testing.assert_array_equal(report.u_fused, report.u_sparse)
+        u_sparse = bank.evaluate(sparse).max(axis=0)
+        u_fused = bank.evaluate(np.vstack([sparse, sparse[:9], sparse[30:44]])).max(axis=0)
+        np.testing.assert_array_equal(u_fused, u_sparse)
+        assert np.all(u_fused <= bank.evaluate(dense).max(axis=0))
 
     def test_new_extreme_point_strictly_increases_u(self):
         pts = np.array(
@@ -245,10 +252,12 @@ class TestEmbeddingChainMechanics:
             ]
         )
         bank = CoordinateBank((0, 1))
-        report = verify_monotonicity(pts, pts[[0, 2, 3]], [pts[[1]]], bank)
-        assert report.passed
-        assert report.u_fused[0] > report.u_sparse[0]
-        np.testing.assert_array_equal(report.u_fused, report.u_dense)
+        sparse = pts[[0, 2, 3]]
+        u_sparse = bank.evaluate(sparse).max(axis=0)
+        # The partial adds the max-x point.
+        u_fused = bank.evaluate(np.vstack([sparse, pts[[1]]])).max(axis=0)
+        assert np.all(u_sparse <= u_fused) and u_fused[0] > u_sparse[0]
+        np.testing.assert_array_equal(u_fused, bank.evaluate(pts).max(axis=0))
 
 
 # The default run over the one-million-point room, frozen like the digests

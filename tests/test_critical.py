@@ -1,4 +1,4 @@
-"""Critical sets, subset invariance, and the embedding monotonicity chain."""
+"""Critical sets and subset invariance."""
 
 import json
 
@@ -7,13 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from helpers import CoordinateBank
-from mvrep.critical import (
-    FeatureBank,
-    critical_set,
-    embed,
-    verify_monotonicity,
-    verify_subset_invariance,
-)
+from mvrep.critical import FeatureBank, critical_set, verify_subset_invariance
 from mvrep.geometry import Aabb, bounding_box
 
 # Hand fixture: with the coordinate bank (x, y), feature 0 peaks at point 1
@@ -91,7 +85,7 @@ class TestCriticalSet:
         bank = FeatureBank.rbf(bounding_box(pts), k=12, seed=4)
         report = critical_set(pts, bank)
         drop = int(report.critical_indices[0])
-        u_without = embed(np.delete(pts, drop, axis=0), bank)
+        u_without = bank.evaluate(np.delete(pts, drop, axis=0)).max(axis=0)
         assert not np.array_equal(u_without, report.u)
 
     def test_empty_rejected(self):
@@ -193,65 +187,4 @@ class TestSubsetInvariance:
         others = np.setdiff1d(np.arange(60), report.critical_indices)
         extra = others[rng.random(others.size) < 0.5]
         subset = np.union1d(report.critical_indices, extra)
-        np.testing.assert_array_equal(embed(pts[subset], bank), report.u)
-
-
-class TestMonotonicity:
-    def make_scene(self, seed):
-        dense = random_cloud(seed, n=300)
-        rng = np.random.default_rng(seed + 1)
-        sparse_idx = rng.choice(300, size=80, replace=False)
-        part_a = dense[rng.choice(300, size=40, replace=False)]
-        part_b = dense[rng.choice(300, size=40, replace=False)]
-        return dense, dense[sparse_idx], [part_a, part_b]
-
-    def test_chain_holds_on_random_scenes(self):
-        for seed in range(8):
-            dense, sparse, partials = self.make_scene(seed)
-            bank = FeatureBank.rbf(bounding_box(dense), k=16, seed=seed)
-            report = verify_monotonicity(dense, sparse, partials, bank)
-            assert report.passed
-            assert np.all(report.u_sparse <= report.u_fused)
-            assert np.all(report.u_fused <= report.u_dense)
-
-    def test_partials_inside_sparse_force_equality(self):
-        dense, sparse, _ = self.make_scene(3)
-        bank = FeatureBank.rbf(bounding_box(dense), k=8, seed=3)
-        partials = [sparse[:10], sparse[20:25]]
-        report = verify_monotonicity(dense, sparse, partials, bank)
-        assert report.partials_within_sparse
-        assert report.passed
-        np.testing.assert_array_equal(report.u_fused, report.u_sparse)
-
-    def test_new_extreme_point_strictly_increases_u(self):
-        # The partial contributes the unique max-x point, so the fused
-        # embedding must exceed the sparse one in the x feature.
-        bank = CoordinateBank((0, 1))
-        dense = FIXTURE
-        sparse = FIXTURE[[0, 2, 3, 4]]  # drops the max-x point
-        report = verify_monotonicity(dense, sparse, [FIXTURE[[1]]], bank)
-        assert report.passed
-        assert not report.partials_within_sparse
-        assert report.u_fused[0] > report.u_sparse[0]
-        np.testing.assert_array_equal(report.u_fused, report.u_dense)
-
-    def test_rejects_sparse_outside_dense(self):
-        dense = random_cloud(6, n=50)
-        stranger = dense + 100.0
-        bank = FeatureBank.rbf(bounding_box(dense), k=4, seed=0)
-        with pytest.raises(ValueError, match="sparse"):
-            verify_monotonicity(dense, stranger, [], bank)
-
-    def test_rejects_partial_outside_dense(self):
-        dense = random_cloud(7, n=50)
-        bank = FeatureBank.rbf(bounding_box(dense), k=4, seed=0)
-        with pytest.raises(ValueError, match="partial set 0"):
-            verify_monotonicity(dense, dense[:10], [dense + 5.0], bank)
-
-    def test_to_dict(self):
-        dense, sparse, partials = self.make_scene(9)
-        bank = FeatureBank.rbf(bounding_box(dense), k=6, seed=9)
-        d = verify_monotonicity(dense, sparse, partials, bank).to_dict()
-        assert d["passed"] is True
-        assert len(d["u_dense"]) == 6
-        assert d["violations_lower"] == []
+        np.testing.assert_array_equal(bank.evaluate(pts[subset]).max(axis=0), report.u)
