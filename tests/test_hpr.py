@@ -125,28 +125,37 @@ class TestInvariances:
 
 
 class TestDegenerateScenes:
-    def test_planar_scene_with_inplane_viewpoint(self, monkeypatch):
-        # All points and the viewpoint share a plane, so the flipped set is
-        # coplanar and hull construction needs the seeded jitter retry.
-        rng = np.random.default_rng(9)
-        xy = rng.uniform(1.0, 4.0, size=(50, 2))
-        pts = np.column_stack([xy[:, 0], xy[:, 1], np.zeros(50)])
+    @pytest.mark.parametrize(
+        "pts",
+        [
+            # Points and viewpoint share a plane, so the flipped set does too.
+            np.column_stack(
+                [np.random.default_rng(9).uniform(1.0, 4.0, size=(50, 2)), np.zeros(50)]
+            ),
+            # One ray from the viewpoint.
+            np.outer(np.linspace(1.0, 2.0, 20), [1.0, 2.0, 3.0]),
+            np.tile([[1.0, 2.0, 3.0]], (8, 1)),
+        ],
+        ids=["planar", "collinear", "repeated_point"],
+    )
+    def test_degenerate_scene_needs_one_jitter_retry(self, monkeypatch, pts):
         outcomes = []
 
         def recording(points):
             try:
                 hull = convex_hull_3d(points)
-            except DegenerateInputError as exc:
-                outcomes.append(exc.dimensionality)
+            except DegenerateInputError:
+                outcomes.append("degenerate")
                 raise
             outcomes.append("hull")
             return hull
 
         monkeypatch.setattr(hpr, "convex_hull_3d", recording)
         vis = visible_points(pts, np.zeros(3))
-        assert outcomes == [2, "hull"]
+        assert outcomes == ["degenerate", "hull"]
         assert vis.size > 0
-        assert np.all((vis >= 0) & (vis < 50))
+        assert np.all((vis >= 0) & (vis < len(pts)))
+        assert np.all(np.diff(vis) > 0)
 
     def test_planar_scene_deterministic(self):
         rng = np.random.default_rng(10)
