@@ -4,8 +4,7 @@ A feature bank maps each point x to K per-point features h_j(x); the set
 embedding is the elementwise maximum u_j = max over the set.  The critical
 set collects one attaining point per feature dimension (lowest index on
 ties), and any T with ``critical set <= T <= upper mask`` reproduces u
-exactly.  The verification helpers check those identities and the
-monotonicity chain u(sparse) <= u(sparse + partials) <= u(dense).
+exactly.
 """
 
 from __future__ import annotations
@@ -20,11 +19,8 @@ __all__ = [
     "FeatureBank",
     "CriticalReport",
     "InvarianceReport",
-    "MonotonicityReport",
-    "embed",
     "critical_set",
     "verify_subset_invariance",
-    "verify_monotonicity",
 ]
 
 
@@ -35,8 +31,8 @@ class FeatureBank:
     The bank uses seeded Gaussian bumps
     ``h_j(x) = exp(-|x - c_j|^2 / sigma_j^2)`` with centres and widths drawn
     over a bounding box, so features are continuous and bounded in (0, 1].
-    ``embed``, ``critical_set`` and the ``verify_*`` helpers read only ``k``
-    and ``evaluate``.
+    ``critical_set`` and ``verify_subset_invariance`` read only ``k`` and
+    ``evaluate``.
     """
 
     k: int
@@ -66,14 +62,6 @@ class FeatureBank:
             - 2.0 * pos @ self.centers.T
         )
         return np.exp(-np.maximum(sq, 0.0) / self.widths**2)
-
-
-def embed(points, bank: FeatureBank) -> np.ndarray:
-    """Max-pooled set embedding u, shape (K,)."""
-    pos = _as_points(points)
-    if pos.shape[0] == 0:
-        raise ValueError("embedding of an empty set is undefined")
-    return bank.evaluate(pos).max(axis=0)
 
 
 @dataclass(frozen=True)
@@ -180,79 +168,4 @@ def verify_subset_invariance(
         trials=trials,
         failures=tuple(failures),
         report=report,
-    )
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Elementwise embedding chain across sparse, fused, and dense clouds."""
-
-    u_sparse: np.ndarray
-    u_fused: np.ndarray
-    u_dense: np.ndarray
-    partials_within_sparse: bool
-    violations_lower: tuple[int, ...]
-    violations_upper: tuple[int, ...]
-    equality_violations: tuple[int, ...]
-
-    @property
-    def passed(self) -> bool:
-        return not (
-            self.violations_lower or self.violations_upper or self.equality_violations
-        )
-
-    def to_dict(self) -> dict:
-        return {
-            "u_sparse": [float(v) for v in self.u_sparse],
-            "u_fused": [float(v) for v in self.u_fused],
-            "u_dense": [float(v) for v in self.u_dense],
-            "partials_within_sparse": self.partials_within_sparse,
-            "violations_lower": [int(v) for v in self.violations_lower],
-            "violations_upper": [int(v) for v in self.violations_upper],
-            "equality_violations": [int(v) for v in self.equality_violations],
-            "passed": self.passed,
-        }
-
-
-def _row_set(pos: np.ndarray) -> set[bytes]:
-    return {np.ascontiguousarray(row).tobytes() for row in pos}
-
-
-def verify_monotonicity(dense, sparse, partials, bank: FeatureBank) -> MonotonicityReport:
-    """Check u(sparse) <= u(sparse + partials) <= u(dense) elementwise.
-
-    ``sparse`` and every partial must be subsets of ``dense`` by exact point
-    positions.  When all partials already sit inside the sparse cloud, the
-    fused embedding must equal the sparse one exactly, not just bound it.
-    """
-    dense_pos = _as_points(dense)
-    sparse_pos = _as_points(sparse)
-    partial_pos = [_as_points(p) for p in partials]
-    dense_rows = _row_set(dense_pos)
-    if not _row_set(sparse_pos) <= dense_rows:
-        raise ValueError("sparse cloud is not a subset of the dense cloud")
-    for i, pp in enumerate(partial_pos):
-        if not _row_set(pp) <= dense_rows:
-            raise ValueError(f"partial set {i} is not a subset of the dense cloud")
-
-    sparse_rows = _row_set(sparse_pos)
-    within = all(_row_set(pp) <= sparse_rows for pp in partial_pos)
-    fused_pos = np.vstack([sparse_pos] + partial_pos) if partial_pos else sparse_pos
-
-    u_sparse = embed(sparse_pos, bank)
-    u_fused = embed(fused_pos, bank)
-    u_dense = embed(dense_pos, bank)
-    lower = tuple(int(j) for j in np.flatnonzero(u_sparse > u_fused))
-    upper = tuple(int(j) for j in np.flatnonzero(u_fused > u_dense))
-    equality: tuple[int, ...] = ()
-    if within:
-        equality = tuple(int(j) for j in np.flatnonzero(u_fused != u_sparse))
-    return MonotonicityReport(
-        u_sparse=u_sparse,
-        u_fused=u_fused,
-        u_dense=u_dense,
-        partials_within_sparse=within,
-        violations_lower=lower,
-        violations_upper=upper,
-        equality_violations=equality,
     )

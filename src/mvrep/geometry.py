@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "CULL_BLOCK_ROWS",
     "EPS_DIST",
-    "HULL_EPS_SCALE",
     "Aabb",
     "FovSpec",
     "Perspective",
@@ -30,9 +29,6 @@ __all__ = [
 
 # Closer than this to a viewpoint and a point has no usable ray direction.
 EPS_DIST = 1e-6
-
-# Span tolerance of a rejected hull input, relative to its diameter.
-HULL_EPS_SCALE = 1e-9
 
 # Rows per frustum-cull block; each block's temporaries stay in cache.
 CULL_BLOCK_ROWS = 1 << 15
@@ -206,14 +202,7 @@ def spherical_flip(points, viewpoint, radius: float) -> np.ndarray:
 
 
 class DegenerateInputError(ValueError):
-    """Raised when qhull rejects a 3D hull's input as degenerate.
-
-    ``dimensionality`` is the number of directions the input spans.
-    """
-
-    def __init__(self, dimensionality: int, message: str):
-        super().__init__(message)
-        self.dimensionality = dimensionality
+    """Raised when qhull rejects a 3D hull's input as degenerate."""
 
 
 @dataclass(frozen=True)
@@ -233,7 +222,7 @@ def convex_hull_3d(points) -> ConvexHull3:
     Uses quickhull (qhull via scipy), which is also the one test of
     degeneracy: input that qhull rejects, such as fewer than 4 points or
     points spanning fewer than 3 dimensions, raises
-    :class:`DegenerateInputError` carrying the input's dimensionality.
+    :class:`DegenerateInputError`.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -245,13 +234,7 @@ def convex_hull_3d(points) -> ConvexHull3:
     try:
         hull = ConvexHull(pts)
     except QhullError as exc:
-        # A span direction is real only if its singular value of the centred
-        # input exceeds the tolerance scaled by the input's diameter.
-        s = np.linalg.svd(pts - pts.mean(axis=0), compute_uv=False)
-        dim = int(np.sum(s > HULL_EPS_SCALE * bounding_box(pts).diameter))
-        raise DegenerateInputError(
-            dim, f"qhull rejected hull input spanning {dim} dimensions ({n} points)"
-        ) from exc
+        raise DegenerateInputError(f"qhull rejected hull input of {n} points") from exc
     # Counting corner uses gives the sorted vertex set without a sort.
     vertices = np.flatnonzero(np.bincount(hull.simplices.ravel(), minlength=n))
     return ConvexHull3(vertex_indices=vertices)

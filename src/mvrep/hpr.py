@@ -69,8 +69,10 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
     try:
         hull = convex_hull_3d(hull_input)
     except DegenerateInputError:
-        # One deterministic retry with a tiny seeded jitter; genuinely flat
-        # inputs fail again and the error propagates.
+        # One deterministic retry with a tiny seeded jitter.  The input holds
+        # the viewpoint and a point at least EPS_DIST from it, so the scale is
+        # positive and the jitter spreads even planar, collinear or repeated
+        # points over three dimensions; a second rejection would propagate.
         rng = np.random.default_rng(seed)
         scale = 1e-7 * bounding_box(hull_input).diameter
         hull = convex_hull_3d(hull_input + rng.normal(size=hull_input.shape) * scale)

@@ -63,8 +63,8 @@ def max_outside_distance(points: np.ndarray, hull: ConvexHull3) -> float:
 @dataclass(frozen=True)
 class CoordinateBank:
     """Hand-checkable feature bank: feature j of a point is its coordinate
-    ``dims[j]``.  It has the ``k`` and ``evaluate`` that ``embed``,
-    ``critical_set`` and the ``verify_*`` helpers read from a bank."""
+    ``dims[j]``.  It has the ``k`` and ``evaluate`` that ``critical_set``
+    and ``verify_subset_invariance`` read from a bank."""
 
     dims: tuple[int, ...]
 
