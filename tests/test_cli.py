@@ -1,13 +1,25 @@
-"""CLI behaviour, exercised in process through ``main``."""
+"""CLI behaviour, exercised in process through ``main``; a write that hits
+the file size limit runs ``main`` in a child process."""
 
 import json
+import signal
+import subprocess
+import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from helpers import child_env
 from mvrep.cli import main
 from mvrep.critical import FeatureBank
-from mvrep.io import parse_s3dis_room, read_manifest, write_manifest, write_partial_set
+from mvrep.io import (
+    MANIFEST_SUFFIX,
+    parse_s3dis_room,
+    read_manifest,
+    write_manifest,
+    write_partial_set,
+)
 from mvrep.pipeline import PipelineConfig
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig
@@ -296,6 +308,22 @@ class TestFuse:
         )
         assert code == 2
 
+    def test_failed_write_keeps_the_previous_list(self, manifest_dir, tmp_path, capsys):
+        # A room under a path that is not valid UTF-8 reaches the list as a
+        # lone surrogate, which the list's encoding rejects.
+        [path] = manifest_dir.rglob(f"*{MANIFEST_SUFFIX}")
+        manifests = tmp_path / "manifests"
+        manifests.mkdir()
+        manifest = replace(read_manifest(path), source_path="/rooms/\udcff/Area_1_office_9.txt")
+        write_manifest(manifest, manifests / path.name)
+        out = tmp_path / "train.txt"
+        out.write_bytes(b"previous list\n")
+        argv = ["fuse", "--manifests", str(manifests), "--partial-per-area", "2", "--out", str(out)]
+        assert main(argv) == 1
+        assert "encode" in capsys.readouterr().err
+        assert out.read_bytes() == b"previous list\n"
+        assert not (tmp_path / ".train.txt.tmp").exists()
+
     def test_empty_directory_is_input_error(self, tmp_path):
         code = main(
             [
@@ -348,6 +376,30 @@ class TestCritical:
         argv = ["critical", "--input", str(room_file), "--k", "16", "--trials", "10"]
         assert main(argv + ["--out", str(out)]) == 0
         assert calls == [6_000]
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
+    def test_failed_write_keeps_the_previous_report(self, room_file, tmp_path):
+        # A 64-byte file size limit stops the report part way, as a full
+        # disk would; ignoring SIGXFSZ turns the stop into an OSError.
+        out = tmp_path / "crit.json"
+        out.write_bytes(b"previous report\n")
+        argv = ["critical", "--input", str(room_file), "--k", "16", "--trials", "10",
+                "--out", str(out)]
+        code = (
+            "import resource, signal, sys; from mvrep.cli import main; "
+            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+            "resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard)); "
+            f"sys.exit(main({argv!r}))"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(PYTHONDONTWRITEBYTECODE="1"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 1, child.stderr
+        assert "File too large" in child.stderr
+        assert out.read_bytes() == b"previous report\n"
+        assert not (tmp_path / ".crit.json.tmp").exists()
 
     def test_bad_k_is_config_error(self, room_file, tmp_path):
         code = main(

@@ -15,6 +15,7 @@ from mvrep.cli import main
 from mvrep.io import read_manifest
 
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+SOURCES = Path(mvrep.__file__).resolve().parent
 MODULES = [f"mvrep.{m.name}" for m in pkgutil.iter_modules(mvrep.__path__)]
 
 
@@ -50,6 +51,20 @@ def test_exports_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def test_only_io_opens_files():
+    # io's writers replace a file only once it is complete; a write anywhere
+    # else could leave an output half written under its name.
+    calls = ("write_text(", "write_bytes(", "open(")
+    found = [
+        f"{path.name}:{lineno}"
+        for path in sorted(SOURCES.glob("*.py"))
+        if path.name != "io.py"
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1)
+        if any(call in line for call in calls)
+    ]
+    assert found == []
 
 
 def test_package_import_sets_blas_default_and_loads_nothing():
