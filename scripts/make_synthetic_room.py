@@ -9,7 +9,9 @@ is at hand.
 import argparse
 from pathlib import Path
 
-from mvrep.io import write_partial_set
+import numpy as np
+
+from mvrep.io import format_lines, write_partial_set
 from mvrep.synthetic import synthetic_room
 
 
@@ -35,7 +37,7 @@ def main() -> None:
         with_labels=args.with_labels,
     )
     args.out.parent.mkdir(parents=True, exist_ok=True)
-    write_partial_set(cloud, args.out)
+    write_partial_set(format_lines(cloud, np.arange(len(cloud))), args.out)
     print(f"wrote {len(cloud)} points to {args.out}")
 
 

@@ -17,7 +17,6 @@ variable); explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -34,9 +33,12 @@ from .io import (
     MANIFEST_SUFFIX,
     CloudFormatError,
     area_of,
+    format_lines,
     parse_ply,
     parse_s3dis_room,
     read_manifest,
+    replacing,
+    write_json,
     write_partial_set,
 )
 from .pipeline import (
@@ -185,7 +187,7 @@ def cmd_hpr(args) -> int:
         raise ConfigError(f"--radius-factor must be finite and >= 1, got {radius_factor}")
     cloud = _load_cloud(args.input)
     visible = visible_points(cloud.positions, viewpoint, radius_factor)
-    write_partial_set(cloud.subset(visible), args.out)
+    write_partial_set(format_lines(cloud, visible), args.out)
     print(f"{len(visible)} of {len(cloud)} points visible, wrote {args.out}")
     return 0
 
@@ -217,7 +219,8 @@ def cmd_fuse(args) -> int:
         for entry in manifest.entries:
             partials[area].append(str(path.parent / entry.file_path))
     files = fuse_training_set(dict(originals), dict(partials), recipe, seed=args.seed)
-    Path(args.out).write_text("\n".join(files) + ("\n" if files else ""))
+    with replacing(args.out) as fh:
+        fh.write("".join(f"{f}\n" for f in files).encode())
     print(f"wrote {len(files)} training files to {args.out}")
     return 0
 
@@ -239,8 +242,7 @@ def cmd_critical(args) -> int:
         "critical": report.to_dict(),
         "invariance": invariance.to_dict(),
     }
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-    Path(args.out).write_text(text)
+    write_json(doc, args.out)
     print(
         f"{cloud.room_id}: |critical| = {report.critical_size} of {report.cloud_size} "
         f"points (k={report.k}), invariance "

@@ -39,7 +39,9 @@ __all__ = [
     "parse_s3dis_room",
     "parse_ply",
     "format_lines",
+    "replacing",
     "write_partial_set",
+    "write_json",
     "write_manifest",
     "read_manifest",
     "partial_filename",
@@ -393,7 +395,7 @@ def parse_ply(path, with_labels: bool = False) -> PointCloud:
 
 
 @contextmanager
-def _replacing(path):
+def replacing(path):
     """A binary file opened beside ``path`` that replaces it once complete.
 
     A write that fails removes the temporary file and leaves ``path`` as it
@@ -441,23 +443,12 @@ def format_lines(cloud: PointCloud, rows) -> np.ndarray:
     return lines
 
 
-def write_partial_set(points, path) -> None:
-    """Write a partial set: one ``x y z r g b [label]`` line per point.
-
-    ``points`` is a ``PointCloud``, formatted by ``format_lines`` one
-    ``WRITE_BLOCK_ROWS`` block at a time, or lines from ``format_lines``.
-    Output bytes are a pure function of the points, so repeated writes of
-    equal clouds are byte-identical.  The file appears under its name only
-    once it is complete.
-    """
-    with _replacing(path) as fh:
-        for start in range(0, len(points), WRITE_BLOCK_ROWS):
-            end = min(start + WRITE_BLOCK_ROWS, len(points))
-            if isinstance(points, PointCloud):
-                lines = format_lines(points, np.arange(start, end))
-            else:
-                lines = points[start:end]
-            raw = lines.view(np.uint8)
+def write_partial_set(lines, path) -> None:
+    """Write a partial set from its ``lines``, as ``format_lines`` returns
+    them.  The file appears under its name only once it is complete."""
+    with replacing(path) as fh:
+        for start in range(0, len(lines), WRITE_BLOCK_ROWS):
+            raw = lines[start:start + WRITE_BLOCK_ROWS].view(np.uint8)
             fh.write(raw[raw != 0].tobytes())
 
 
@@ -496,11 +487,18 @@ class MultiviewManifest:
     coverage: float = 0.0
 
 
-def write_manifest(manifest: MultiviewManifest, path) -> None:
-    """Serialize a manifest as canonical JSON (sorted keys, sorted entries).
+def write_json(doc, path) -> None:
+    """Write ``doc`` as canonical JSON: sorted keys, two-space indent, no
+    NaN or Infinity, a trailing newline.  Like a partial set, the file
+    appears under its name only once complete."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    with replacing(path) as fh:
+        fh.write(text.encode())
 
-    Like a partial set, the file appears under its name only once complete.
-    """
+
+def write_manifest(manifest: MultiviewManifest, path) -> None:
+    """Serialize a manifest with ``write_json``, its entries sorted by
+    perspective id."""
     ids = [e.perspective_id for e in manifest.entries]
     if len(set(ids)) != len(ids):
         raise ValueError(f"manifest for {manifest.room_id} has duplicate perspective ids")
@@ -514,9 +512,7 @@ def write_manifest(manifest: MultiviewManifest, path) -> None:
     doc = asdict(manifest)
     doc["entries"] = sorted(doc["entries"], key=lambda e: e["perspective_id"])
     doc["totals"] = {"original_sets": 1, "partial_sets": len(ids)}
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    with _replacing(path) as fh:
-        fh.write(text.encode())
+    write_json(doc, path)
 
 
 def read_manifest(path) -> MultiviewManifest:

@@ -1,5 +1,6 @@
 """Small utilities shared by the test modules."""
 
+import errno
 import os
 from dataclasses import dataclass
 from pathlib import Path
@@ -9,6 +10,10 @@ from scipy.spatial import ConvexHull
 
 import mvrep
 from mvrep.geometry import ConvexHull3
+from mvrep.io import format_lines, write_partial_set
+
+# Cores this process may run on, which a container can pin below the host's.
+VISIBLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 # Variables OpenBLAS reads for its thread count, in order of precedence.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
@@ -34,6 +39,28 @@ def child_env(**settings: str) -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     env.update(settings)
     return env
+
+
+def write_room(cloud, path) -> None:
+    """Write every row of ``cloud`` as a text room."""
+    write_partial_set(format_lines(cloud, np.arange(len(cloud))), path)
+
+
+class FullDiskLines:
+    """Partial-set lines whose last block raises ENOSPC when
+    ``write_partial_set`` takes it, as a disk that fills part way through
+    the write would."""
+
+    def __init__(self, lines):
+        self.lines = lines
+
+    def __len__(self):
+        return len(self.lines)
+
+    def __getitem__(self, block: slice):
+        if block.stop >= len(self.lines):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return self.lines[block]
 
 
 def f1_score(pred: np.ndarray, truth: np.ndarray) -> float:

@@ -9,7 +9,6 @@ pass defeats the point of the gate.
 """
 
 import hashlib
-import os
 import time
 from math import radians
 from types import SimpleNamespace
@@ -18,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from helpers import CoordinateBank, f1_score, max_outside_distance
+from helpers import VISIBLE_CORES, CoordinateBank, f1_score, max_outside_distance
 from mvrep.cli import main
 from mvrep.critical import FeatureBank, critical_set, verify_subset_invariance
 from mvrep.geometry import (
@@ -327,7 +326,7 @@ class TestThroughput:
         )
         speedup = single.seconds / eight.seconds
         assert speedup >= 3.0, (
-            f"speedup {speedup:.2f} with {os.cpu_count()} visible cores "
+            f"speedup {speedup:.2f} with {VISIBLE_CORES} visible cores "
             f"({single.seconds:.1f} s single, {eight.seconds:.1f} s at 8 workers)"
         )
 

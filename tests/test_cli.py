@@ -10,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from helpers import child_env
+from helpers import child_env, write_room
 from mvrep.cli import main
 from mvrep.critical import FeatureBank
 from mvrep.io import (
@@ -18,7 +18,6 @@ from mvrep.io import (
     parse_s3dis_room,
     read_manifest,
     write_manifest,
-    write_partial_set,
 )
 from mvrep.pipeline import PipelineConfig
 from mvrep.synthetic import synthetic_room
@@ -31,7 +30,7 @@ def room_file(tmp_path_factory):
     room = synthetic_room(
         6_000, size=(4.0, 3.0, 2.5), seed=2, room_id="Area_1_office_9", with_labels=False
     )
-    write_partial_set(room, path)
+    write_room(room, path)
     return path
 
 
@@ -141,7 +140,7 @@ class TestGenerate:
             5_000, size=(3.0, 3.0, 2.5), seed=4, room_id="Area_2_office_1"
         )
         src = tmp_path / "Area_2_office_1.txt"
-        write_partial_set(room, src)
+        write_room(room, src)
         out = tmp_path / "mv"
         assert run_generate(src, out, "--with-labels") == 0
         manifest = read_manifest(out / "Area_2_office_1_manifest.json")

@@ -13,9 +13,8 @@ from pathlib import Path
 
 import pytest
 
-from helpers import DISPATCH_SETTINGS, child_env
+from helpers import DISPATCH_SETTINGS, child_env, write_room
 from mvrep.cli import main
-from mvrep.io import write_partial_set
 from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig
@@ -64,7 +63,7 @@ def test_generate_outputs_match_golden(room, tmp_path, jobs):
 
 def test_critical_report_matches_golden(room, tmp_path):
     src = tmp_path / "golden_room.txt"
-    write_partial_set(room, src)
+    write_room(room, src)
     out = tmp_path / "critical.json"
     assert main(["critical", "--input", str(src), "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == CRITICAL_SHA256
@@ -79,7 +78,7 @@ def hpr_argv(room, src: Path, out: Path) -> list[str]:
 
 def test_hpr_partial_matches_golden(room, tmp_path):
     src = tmp_path / "golden_room.txt"
-    write_partial_set(room, src)
+    write_room(room, src)
     out = tmp_path / "hpr.txt"
     assert main(hpr_argv(room, src, out)) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HPR_SHA256
@@ -103,7 +102,7 @@ def test_bytes_do_not_depend_on_blas_thread_count(room, tmp_path):
     # Importing mvrep sets OPENBLAS_NUM_THREADS=1 unless it is already set,
     # so a child given 2 runs the golden commands on two BLAS threads.
     src = tmp_path / "golden_room.txt"
-    write_partial_set(room, src)
+    write_room(room, src)
     out = tmp_path / "critical.json"
     argv = ["critical", "--input", str(src), "--out", str(out)]
     assert golden_child_digest(tmp_path, argv, OPENBLAS_NUM_THREADS="2") == GENERATE_SHA256
@@ -114,7 +113,7 @@ def test_bytes_do_not_depend_on_cpu_dispatch(room, tmp_path):
     # ``mvrep critical`` is left out: FeatureBank.evaluate's BLAS product and
     # np.exp still round differently on these paths (ROADMAP item 6).
     src = tmp_path / "golden_room.txt"
-    write_partial_set(room, src)
+    write_room(room, src)
     out = tmp_path / "hpr.txt"
     digest = golden_child_digest(tmp_path, hpr_argv(room, src, out), **DISPATCH_SETTINGS)
     assert digest == GENERATE_SHA256

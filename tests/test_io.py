@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import FullDiskLines, write_room
 from mvrep.io import (
     S3DIS_CATEGORIES,
     WRITE_BLOCK_ROWS,
@@ -116,7 +117,7 @@ class TestTextRoundTrip:
     def test_write_then_parse_with_labels(self, tmp_path):
         c = small_cloud()
         f = tmp_path / "room.txt"
-        write_partial_set(c, f)
+        write_room(c, f)
         back = parse_s3dis_room(f, with_labels=True)
         np.testing.assert_allclose(back.positions, c.positions, atol=5e-7)
         np.testing.assert_array_equal(back.colors, c.colors)
@@ -125,7 +126,7 @@ class TestTextRoundTrip:
     def test_write_without_labels(self, tmp_path):
         c = small_cloud(with_labels=False)
         f = tmp_path / "room.txt"
-        write_partial_set(c, f)
+        write_room(c, f)
         text = f.read_text()
         assert text.endswith("\n")
         assert len(text.splitlines()) == len(c)
@@ -170,9 +171,6 @@ class TestTextRoundTrip:
             labels=np.array([label]) if with_labels else None,
         )
         f = tmp_path / "p.txt"
-        write_partial_set(c, f)
-        assert f.read_text() == (seven_col if with_labels else six_col)
-        # The formatted-once lines are as wide as the widest line can be.
         write_partial_set(format_lines(c, [0]), f)
         assert f.read_text() == (seven_col if with_labels else six_col)
 
@@ -183,17 +181,18 @@ class TestTextRoundTrip:
             colors=np.array([[255, 255, 255], [0, 0, 0]], dtype=np.uint8),
             labels=np.array([-10, 12]),
         )
-        whole, once = tmp_path / "whole.txt", tmp_path / "once.txt"
-        write_partial_set(c, whole)
-        write_partial_set(format_lines(c, np.arange(len(c))), once)
-        assert once.read_bytes() == whole.read_bytes()
-        assert whole.read_text().splitlines()[0].endswith(" -10")
+        f = tmp_path / "p.txt"
+        write_room(c, f)
+        assert f.read_text() == (
+            "-10.000000 -100.000000 -0.000000 255 255 255 -10\n"
+            "1.000000 2.000000 3.000000 0 0 0 12\n"
+        )
 
     @pytest.mark.parametrize("with_labels", [False, True], ids=["6col", "7col"])
     def test_blocks_match_rows_written_one_at_a_time(self, tmp_path, with_labels):
         c = small_cloud(n=2 * WRITE_BLOCK_ROWS + 3, with_labels=with_labels)
         f = tmp_path / "p.txt"
-        write_partial_set(c, f)
+        write_room(c, f)
         expected = []
         for i in range(len(c)):
             x, y, z = (float(v) for v in c.positions[i])
@@ -204,27 +203,24 @@ class TestTextRoundTrip:
 
     def test_failed_write_keeps_the_previous_file(self, tmp_path):
         f = tmp_path / "p.txt"
-        write_partial_set(small_cloud(), f)
+        write_room(small_cloud(), f)
         before = f.read_bytes()
-        # Whole blocks go out before the row format rejects the NaN label.
-        bad = small_cloud(n=2 * WRITE_BLOCK_ROWS + 3)
-        labels = bad.labels.astype(float)
-        labels[-1] = np.nan
-        object.__setattr__(bad, "labels", labels)
-        with pytest.raises(ValueError):
-            write_partial_set(bad, f)
+        # Whole blocks go out before the disk fills on the last one.
+        c = small_cloud(n=2 * WRITE_BLOCK_ROWS + 3)
+        with pytest.raises(OSError):
+            write_partial_set(FullDiskLines(format_lines(c, np.arange(len(c)))), f)
         assert f.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["p.txt"]
 
     def test_text_positions_are_contiguous(self, tmp_path):
         f = tmp_path / "room.txt"
-        write_partial_set(small_cloud(), f)
+        write_room(small_cloud(), f)
         assert parse_s3dis_room(f).positions.flags.c_contiguous
 
     def test_labels_requested_but_missing(self, tmp_path):
         c = small_cloud(with_labels=False)
         f = tmp_path / "r.txt"
-        write_partial_set(c, f)
+        write_room(c, f)
         with pytest.raises(CloudFormatError, match="label"):
             parse_s3dis_room(f, with_labels=True)
 

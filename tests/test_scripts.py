@@ -1,7 +1,6 @@
 """Smoke tests of the scripts in ``scripts/`` and of the public export lists."""
 
 import importlib
-import os
 import pkgutil
 import subprocess
 import sys
@@ -10,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import mvrep
-from helpers import child_env
+from helpers import VISIBLE_CORES, child_env
 from mvrep.cli import main
 from mvrep.io import read_manifest
 
@@ -81,9 +80,6 @@ def test_cli_import_leaves_scipy_unloaded():
     # Only a hull needs scipy; fuse, stats and critical never load it.
     code = "import sys, mvrep.cli; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))"
     assert run_script("-c", code).stdout.strip() == "[]"
-
-
-VISIBLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
 
 
 @pytest.mark.skipif(

@@ -13,8 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from helpers import write_room
 from mvrep import cli, pipeline
-from mvrep.io import write_partial_set
 from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig, enumerate_perspectives, grid_viewpoints
@@ -102,7 +102,7 @@ def test_traced_commands_miss_no_span(tmp_path):
     # benchmark times through main() with the tracer installed.
     room = synthetic_room(6_000, size=(4.0, 3.0, 2.5), seed=6)
     src = tmp_path / "room.txt"
-    write_partial_set(room, src)
+    write_room(room, src)
     centre = ",".join(repr(float(v)) for v in (room.bounds.lo + room.bounds.hi) / 2.0)
     gen = tmp_path / "gen"
     commands = [
@@ -127,6 +127,8 @@ def test_traced_commands_miss_no_span(tmp_path):
     assert recorded["cli.main"] == len(commands)
     for name in ("io.parse", "pipeline.generate", "geometry.frustum_mask",
                  "geometry.convex_hull_3d", "io.write_partial", "io.write_manifest",
-                 "io.subset", "critical.invariance", "critical.evaluate",
+                 "critical.invariance", "critical.evaluate",
                  "pipeline.fuse", "io.read_manifest"):
         assert recorded[name] > 0, name
+    # Every command writes formatted lines; none copies a PointCloud subset.
+    assert recorded["io.subset"] == 0
