@@ -38,7 +38,8 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
             sparse, so match the factor to the scene, not the other way
             round.
         seed: seeds the one jitter retry used when the flipped set is
-            degenerate for hull construction.
+            planar, collinear or repeated; the visible set of such a
+            degenerate scene is approximate (ROADMAP item 13).
 
     Returns:
         Sorted array of visible indices into the input.  Sets with fewer

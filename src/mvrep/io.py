@@ -400,6 +400,7 @@ def replacing(path):
 
     A write that fails removes the temporary file and leaves ``path`` as it
     was, so no reader ever sees a partly written file under its name.
+    Every file that mvrep writes goes through it.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.tmp")

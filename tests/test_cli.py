@@ -13,12 +13,7 @@ import pytest
 from helpers import child_env, write_room
 from mvrep.cli import main
 from mvrep.critical import FeatureBank
-from mvrep.io import (
-    MANIFEST_SUFFIX,
-    parse_s3dis_room,
-    read_manifest,
-    write_manifest,
-)
+from mvrep.io import MANIFEST_SUFFIX, parse_s3dis_room, read_manifest, write_manifest
 from mvrep.pipeline import PipelineConfig
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig

@@ -171,6 +171,7 @@ class TestTextRoundTrip:
             labels=np.array([label]) if with_labels else None,
         )
         f = tmp_path / "p.txt"
+        # The formatted lines are as wide as the widest line can be.
         write_partial_set(format_lines(c, [0]), f)
         assert f.read_text() == (seven_col if with_labels else six_col)
 
