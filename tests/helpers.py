@@ -2,6 +2,8 @@
 
 import errno
 import os
+import subprocess
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -39,6 +41,23 @@ def child_env(**settings: str) -> dict[str, str]:
     env["PYTHONPATH"] = os.pathsep.join(p for p in paths if p)
     env.update(settings)
     return env
+
+
+def run_main_with_file_size_limit(argv: list[str], limit: int = 64):
+    """Run ``mvrep.cli.main(argv)`` in a child process whose writes stop at
+    ``limit`` bytes a file, as a full disk would stop them.  The child
+    ignores SIGXFSZ, which turns the stop into an OSError."""
+    code = (
+        "import resource, signal, sys; from mvrep.cli import main; "
+        "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
+        "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
+        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard)); "
+        f"sys.exit(main({argv!r}))"
+    )
+    return subprocess.run(
+        [sys.executable, "-c", code], env=child_env(PYTHONDONTWRITEBYTECODE="1"),
+        capture_output=True, text=True, timeout=120,
+    )
 
 
 def write_room(cloud, path) -> None:

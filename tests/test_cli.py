@@ -2,18 +2,18 @@
 the file size limit runs ``main`` in a child process."""
 
 import json
+import os
+import shutil
 import signal
-import subprocess
-import sys
-from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import child_env, write_room
+from helpers import run_main_with_file_size_limit, write_room
 from mvrep.cli import main
 from mvrep.critical import FeatureBank
-from mvrep.io import MANIFEST_SUFFIX, parse_s3dis_room, read_manifest, write_manifest
+from mvrep.io import parse_s3dis_room, read_manifest, write_manifest
 from mvrep.pipeline import PipelineConfig
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig
@@ -170,11 +170,11 @@ class TestHpr:
         assert f"{len(kept)} of {len(total)}" in capsys.readouterr().out
 
     def test_bad_viewpoint_is_config_error(self, room_file, tmp_path, capsys):
-        code = main(
-            ["hpr", "--input", str(room_file), "--viewpoint", "1,2", "--out", str(tmp_path / "v.txt")]
-        )
-        assert code == 2
-        assert "--viewpoint" in capsys.readouterr().err
+        for viewpoint in ["1,2", "1,x,3"]:
+            argv = ["hpr", "--input", str(room_file), "--viewpoint", viewpoint,
+                    "--out", str(tmp_path / "v.txt")]
+            assert main(argv) == 2
+            assert "--viewpoint" in capsys.readouterr().err
 
     def test_small_radius_factor_is_config_error(self, room_file, tmp_path):
         code = main(
@@ -302,21 +302,32 @@ class TestFuse:
         )
         assert code == 2
 
-    def test_failed_write_keeps_the_previous_list(self, manifest_dir, tmp_path, capsys):
-        # A room under a path that is not valid UTF-8 reaches the list as a
-        # lone surrogate, which the list's encoding rejects.
-        [path] = manifest_dir.rglob(f"*{MANIFEST_SUFFIX}")
-        manifests = tmp_path / "manifests"
-        manifests.mkdir()
-        manifest = replace(read_manifest(path), source_path="/rooms/\udcff/Area_1_office_9.txt")
-        write_manifest(manifest, manifests / path.name)
+    @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
+    def test_failed_write_keeps_the_previous_list(self, manifest_dir, tmp_path):
         out = tmp_path / "train.txt"
         out.write_bytes(b"previous list\n")
-        argv = ["fuse", "--manifests", str(manifests), "--partial-per-area", "2", "--out", str(out)]
-        assert main(argv) == 1
-        assert "encode" in capsys.readouterr().err
+        argv = ["fuse", "--manifests", str(manifest_dir), "--partial-per-area", "2",
+                "--out", str(out)]
+        child = run_main_with_file_size_limit(argv)
+        assert child.returncode == 1, child.stderr
+        assert "File too large" in child.stderr
         assert out.read_bytes() == b"previous list\n"
         assert not (tmp_path / ".train.txt.tmp").exists()
+
+    def test_lists_rooms_under_paths_that_are_not_utf8(self, room_file, tmp_path):
+        rooms = os.path.join(os.fsencode(tmp_path), b"r\xff")
+        try:
+            os.mkdir(rooms)
+        except OSError as exc:
+            pytest.skip(f"the filesystem refuses a name that is not UTF-8: {exc}")
+        room = Path(os.fsdecode(rooms)) / room_file.name
+        shutil.copyfile(room_file, room)
+        assert run_generate(room, tmp_path / "mv") == 0
+        out = tmp_path / "train.txt"
+        argv = ["fuse", "--manifests", str(tmp_path / "mv"), "--partial-per-area", "1",
+                "--out", str(out)]
+        assert main(argv) == 0
+        assert os.path.join(rooms, os.fsencode(room_file.name)) in out.read_bytes().splitlines()
 
     def test_empty_directory_is_input_error(self, tmp_path):
         code = main(
@@ -373,23 +384,11 @@ class TestCritical:
 
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
     def test_failed_write_keeps_the_previous_report(self, room_file, tmp_path):
-        # A 64-byte file size limit stops the report part way, as a full
-        # disk would; ignoring SIGXFSZ turns the stop into an OSError.
         out = tmp_path / "crit.json"
         out.write_bytes(b"previous report\n")
         argv = ["critical", "--input", str(room_file), "--k", "16", "--trials", "10",
                 "--out", str(out)]
-        code = (
-            "import resource, signal, sys; from mvrep.cli import main; "
-            "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
-            "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
-            "resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard)); "
-            f"sys.exit(main({argv!r}))"
-        )
-        child = subprocess.run(
-            [sys.executable, "-c", code], env=child_env(PYTHONDONTWRITEBYTECODE="1"),
-            capture_output=True, text=True, timeout=120,
-        )
+        child = run_main_with_file_size_limit(argv)
         assert child.returncode == 1, child.stderr
         assert "File too large" in child.stderr
         assert out.read_bytes() == b"previous report\n"

@@ -89,6 +89,7 @@ class TestPointCloud:
                 "colors": np.zeros((2, 3)),
                 "labels": np.array([1.0, np.nan]),
             },
+            {"positions": np.zeros((1, 3)), "colors": np.array([[0, 0, np.nan]]), "labels": None},
         ],
     )
     def test_invalid_inputs_rejected(self, kwargs):
