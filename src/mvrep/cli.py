@@ -170,21 +170,16 @@ def cmd_generate(args) -> int:
 
 
 def cmd_hpr(args) -> int:
-    tokens = args.viewpoint.split(",")
-    if len(tokens) != 3:
-        raise ConfigError(f"--viewpoint expects x,y,z, got {args.viewpoint!r}")
     try:
-        viewpoint = tuple(float(tok) for tok in tokens)
-    except ValueError:
-        raise ConfigError(f"--viewpoint expects numbers, got {args.viewpoint!r}") from None
-    if not all(map(math.isfinite, viewpoint)):
-        raise ConfigError(f"--viewpoint expects finite numbers, got {args.viewpoint!r}")
-    try:
-        radius_factor = float(args.radius_factor)
-    except ValueError:
-        raise ConfigError(f"--radius-factor expects a number, got {args.radius_factor!r}") from None
-    if not 1.0 <= radius_factor < math.inf:
-        raise ConfigError(f"--radius-factor must be finite and >= 1, got {radius_factor}")
+        viewpoint = _float_list(args.viewpoint)
+    except ConfigError as exc:
+        raise ConfigError(f"--viewpoint: {exc}") from None
+    if len(viewpoint) != 3 or not all(map(math.isfinite, viewpoint)):
+        raise ConfigError(f"--viewpoint expects three finite numbers, got {args.viewpoint!r}")
+    values = {}
+    if args.radius_factor is not None:
+        values["radius_factor"] = _cast("radius_factor", args.radius_factor, "--radius-factor")
+    radius_factor = _pipeline_config(values).radius_factor
     cloud = _load_cloud(args.input)
     visible = visible_points(cloud.positions, viewpoint, radius_factor)
     write_partial_set(format_lines(cloud, visible), args.out)
@@ -220,7 +215,7 @@ def cmd_fuse(args) -> int:
             partials[area].append(str(path.parent / entry.file_path))
     files = fuse_training_set(dict(originals), dict(partials), recipe, seed=args.seed)
     with replacing(args.out) as fh:
-        fh.write("".join(f"{f}\n" for f in files).encode())
+        fh.write(b"".join(os.fsencode(f) + b"\n" for f in files))
     print(f"wrote {len(files)} training files to {args.out}")
     return 0
 
@@ -290,7 +285,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hpr = sub.add_parser("hpr", help="visibility filter from one viewpoint")
     hpr.add_argument("--input", required=True)
     hpr.add_argument("--viewpoint", required=True, help="x,y,z")
-    hpr.add_argument("--radius-factor", default="1000.0")
+    hpr.add_argument("--radius-factor", default=None, help="as for generate")
     hpr.add_argument("--out", required=True)
     hpr.set_defaults(func=cmd_hpr)
 

@@ -36,7 +36,6 @@ class FeatureBank:
     """
 
     k: int
-    seed: int
     centers: np.ndarray
     widths: np.ndarray
 
@@ -50,7 +49,7 @@ class FeatureBank:
         centers = rng.uniform(lo, hi, size=(k, 3))
         scale = max(bounds.diameter, 1e-6)
         widths = rng.uniform(0.2, 0.6, size=k) * scale
-        return cls(k=k, seed=seed, centers=centers, widths=widths)
+        return cls(k=k, centers=centers, widths=widths)
 
     def evaluate(self, points) -> np.ndarray:
         """Per-point feature matrix of shape (n, K)."""

@@ -47,9 +47,8 @@ class Aabb:
 
 
 def _as_points(points) -> np.ndarray:
-    """Accept a PointCloud-like object or a raw (n, 3) array."""
-    pts = getattr(points, "positions", points)
-    pts = np.asarray(pts, dtype=np.float64)
+    """``points`` as an (n, 3) float64 array; any other shape raises."""
+    pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
     return pts
@@ -59,7 +58,7 @@ def bounding_box(points) -> Aabb:
     """Tight axis-aligned bounds of a non-empty point set.
 
     Args:
-        points: (n, 3) array or any object with a ``positions`` attribute.
+        points: (n, 3) array.
 
     Returns:
         Aabb with ``lo = min`` and ``hi = max`` taken per axis.
@@ -174,7 +173,7 @@ def spherical_flip(points, viewpoint, radius: float) -> np.ndarray:
     above the farthest point distance.
 
     Args:
-        points: (n, 3) array or PointCloud-like object.
+        points: (n, 3) array.
         viewpoint: flip centre.
         radius: sphere radius; at least half the farthest point distance.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import (
-    EPS_DIST,
     DegenerateInputError,
     _as_points,
     bounding_box,
@@ -27,7 +26,7 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
     """Indices of points visible from ``viewpoint``.
 
     Args:
-        points: (n, 3) array or PointCloud-like object.
+        points: (n, 3) array.
         viewpoint: finite camera position.
         radius_factor: flip radius as a multiple of the farthest point
             distance; must be finite and >= 1 so the flip sphere covers the set.
@@ -55,17 +54,12 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
     if not np.isfinite(vp).all():
         raise ValueError(f"viewpoint must be finite, got {vp.tolist()}")
 
-    dists = np.linalg.norm(pts - vp, axis=1)
-    nearest = int(np.argmin(dists))
-    if dists[nearest] < EPS_DIST:
-        raise ValueError(
-            f"point {nearest} lies within {EPS_DIST} of the viewpoint"
-        )
+    radius = radius_factor * float(np.linalg.norm(pts - vp, axis=1).max())
+    # The flip rejects a point that coincides with the viewpoint, small sets too.
+    flipped = spherical_flip(pts, vp, radius)
     if n < 4:
         return np.arange(n, dtype=np.intp)
 
-    radius = radius_factor * float(dists.max())
-    flipped = spherical_flip(pts, vp, radius)
     hull_input = np.vstack([flipped, vp])
     try:
         hull = convex_hull_3d(hull_input)

@@ -64,6 +64,16 @@ class CloudFormatError(ValueError):
     """Malformed point cloud or manifest input."""
 
 
+def _exact_cast(values: np.ndarray, dtype, message: str) -> np.ndarray:
+    """``values`` as ``dtype``.  A value that the cast changes is not an
+    integer in the dtype's range, and raises ``ValueError(message)``."""
+    with np.errstate(invalid="ignore"):
+        cast = values.astype(dtype, copy=False)
+    if np.any(cast != values):
+        raise ValueError(message)
+    return cast
+
+
 @dataclass(frozen=True, eq=False)
 class PointCloud:
     """Immutable column-oriented point set.
@@ -87,21 +97,13 @@ class PointCloud:
         col = np.asarray(self.colors)
         if col.shape != pos.shape:
             raise ValueError(f"colors shape {col.shape} does not match positions {pos.shape}")
-        if col.dtype != np.uint8:
-            if np.any((col < 0) | (col > 255)) or np.any(col != np.floor(col)):
-                raise ValueError("colors must be integers in [0, 255]")
-            col = col.astype(np.uint8)
+        col = _exact_cast(col, np.uint8, "colors must be integers in [0, 255]")
         lab = self.labels
         if lab is not None:
             lab = np.asarray(lab)
             if lab.shape != (pos.shape[0],):
                 raise ValueError(f"labels shape {lab.shape} does not match point count")
-            if lab.dtype != np.int32:
-                with np.errstate(invalid="ignore"):
-                    cast = lab.astype(np.int32)
-                if np.any(cast != lab):
-                    raise ValueError("labels must be integers in the int32 range")
-                lab = cast
+            lab = _exact_cast(lab, np.int32, "labels must be integers in the int32 range")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "colors", col)
         object.__setattr__(self, "labels", lab)
