@@ -43,15 +43,15 @@ def child_env(**settings: str) -> dict[str, str]:
     return env
 
 
-def run_main_with_file_size_limit(argv: list[str], limit: int = 64):
+def run_main_with_file_size_limit(argv: list[str]):
     """Run ``mvrep.cli.main(argv)`` in a child process whose writes stop at
-    ``limit`` bytes a file, as a full disk would stop them.  The child
-    ignores SIGXFSZ, which turns the stop into an OSError."""
+    64 bytes a file, as a full disk would stop them.  The child ignores
+    SIGXFSZ, which turns the stop into an OSError."""
     code = (
         "import resource, signal, sys; from mvrep.cli import main; "
         "signal.signal(signal.SIGXFSZ, signal.SIG_IGN); "
         "hard = resource.getrlimit(resource.RLIMIT_FSIZE)[1]; "
-        f"resource.setrlimit(resource.RLIMIT_FSIZE, ({limit}, hard)); "
+        "resource.setrlimit(resource.RLIMIT_FSIZE, (64, hard)); "
         f"sys.exit(main({argv!r}))"
     )
     return subprocess.run(
@@ -119,5 +119,5 @@ class CoordinateBank:
         return len(self.dims)
 
     def evaluate(self, points) -> np.ndarray:
-        pos = np.asarray(getattr(points, "positions", points), dtype=np.float64)
+        pos = np.asarray(points, dtype=np.float64)
         return pos[:, list(self.dims)]

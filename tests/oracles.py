@@ -98,7 +98,7 @@ def raycast_visibility(
     Returns:
         Boolean visibility mask of shape (n,).
     """
-    pts = np.asarray(getattr(points, "positions", points), dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     vp = np.asarray(viewpoint, dtype=np.float64).reshape(3)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError(f"expected an (n, 3) point array, got shape {pts.shape}")
@@ -160,7 +160,7 @@ def hull_bruteforce(points, eps_scale: float = 1e-9) -> np.ndarray:
     side (within ``eps_scale * diameter``), the triple's points are hull
     vertices.  Only meant for 4 <= n <= 30 points in general position.
     """
-    pts = np.asarray(getattr(points, "positions", points), dtype=np.float64)
+    pts = np.asarray(points, dtype=np.float64)
     n = pts.shape[0]
     if not 4 <= n <= 30:
         raise ValueError(f"brute-force hull supports 4..30 points, got {n}")
@@ -190,7 +190,7 @@ def maxpool_bruteforce(points, bank) -> tuple[np.ndarray, list[tuple[int, ...]]]
     order.  Achievement is monotone under supersets, so minimality only
     needs single-element removals to be checked.
     """
-    pos = np.asarray(getattr(points, "positions", points), dtype=np.float64)
+    pos = np.asarray(points, dtype=np.float64)
     n = pos.shape[0]
     if not 1 <= n <= 15:
         raise ValueError(f"brute-force maxpool supports 1..15 points, got {n}")
