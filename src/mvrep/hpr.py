@@ -22,7 +22,7 @@ from .geometry import (
 __all__ = ["visible_points"]
 
 
-def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: int = 0) -> np.ndarray:
+def visible_points(points, viewpoint, radius_factor: float, *, seed: int = 0) -> np.ndarray:
     """Indices of points visible from ``viewpoint``.
 
     Args:
@@ -32,10 +32,10 @@ def visible_points(points, viewpoint, radius_factor: float = 1000.0, *, seed: in
             distance; must be finite and >= 1 so the flip sphere covers the set.
             Densely sampled convex exteriors are insensitive to it over
             10..1000, but concave interiors (rooms) lose grazing surfaces
-            badly below a few hundred, hence the large default.  Very large
-            factors do start to leak back-surface points once sampling gets
-            sparse, so match the factor to the scene, not the other way
-            round.
+            badly below a few hundred, hence ``PipelineConfig``'s large
+            default.  Very large factors do start to leak back-surface
+            points once sampling gets sparse, so match the factor to the
+            scene, not the other way round.
         seed: seeds the one jitter retry used when the flipped set is
             planar, collinear or repeated; the visible set of such a
             degenerate scene is approximate (ROADMAP item 13).

@@ -64,13 +64,31 @@ class CloudFormatError(ValueError):
     """Malformed point cloud or manifest input."""
 
 
-def _exact_cast(values: np.ndarray, dtype, message: str) -> np.ndarray:
+class _BadRow(ValueError):
+    """A ``PointCloud`` column breaks its rule first at row index ``row``."""
+
+    def __init__(self, row: int, rule: str) -> None:
+        super().__init__(f"row {row}: {rule}")
+        self.row, self.rule = row, rule
+
+
+def _first_row(bad: np.ndarray) -> int:
+    # Row-major indices: the first one lies on the first bad row.
+    return int(np.nonzero(bad)[0][0])
+
+
+def _exact_cast(values: np.ndarray, dtype, column: str, rule: str) -> np.ndarray:
     """``values`` as ``dtype``.  A value that the cast changes is not an
-    integer in the dtype's range, and raises ``ValueError(message)``."""
+    integer in the dtype's range: its row breaks ``rule``, or holds a
+    non-finite ``column`` value."""
     with np.errstate(invalid="ignore"):
         cast = values.astype(dtype, copy=False)
-    if np.any(cast != values):
-        raise ValueError(message)
+    changed = cast != values
+    if changed.any():
+        row = _first_row(changed)
+        if not np.isfinite(values[row]).all():
+            rule = f"non-finite {column}"
+        raise _BadRow(row, rule)
     return cast
 
 
@@ -79,7 +97,8 @@ class PointCloud:
     """Immutable column-oriented point set.
 
     positions: (n, 3) float64, colors: (n, 3) uint8, labels: (n,) int32 or
-    None.  ``bounds`` is computed on construction and always tight.
+    None.  ``bounds`` is computed on construction and always tight.  A value
+    that breaks its column's rule raises ``ValueError`` naming its row.
     """
 
     positions: np.ndarray
@@ -92,18 +111,19 @@ class PointCloud:
         pos = np.ascontiguousarray(self.positions, dtype=np.float64)
         if pos.ndim != 2 or pos.shape[1] != 3 or pos.shape[0] == 0:
             raise ValueError(f"positions must be a non-empty (n, 3) array, got {pos.shape}")
-        if not np.isfinite(pos).all():
-            raise ValueError("positions contain NaN or Inf")
+        finite = np.isfinite(pos)
+        if not finite.all():
+            raise _BadRow(_first_row(~finite), "non-finite coordinate")
         col = np.asarray(self.colors)
         if col.shape != pos.shape:
             raise ValueError(f"colors shape {col.shape} does not match positions {pos.shape}")
-        col = _exact_cast(col, np.uint8, "colors must be integers in [0, 255]")
+        col = _exact_cast(col, np.uint8, "color", "colors must be integers in [0, 255]")
         lab = self.labels
         if lab is not None:
             lab = np.asarray(lab)
             if lab.shape != (pos.shape[0],):
                 raise ValueError(f"labels shape {lab.shape} does not match point count")
-            lab = _exact_cast(lab, np.int32, "labels must be integers in the int32 range")
+            lab = _exact_cast(lab, np.int32, "label", "labels must be integers in the int32 range")
         object.__setattr__(self, "positions", pos)
         object.__setattr__(self, "colors", col)
         object.__setattr__(self, "labels", lab)
@@ -189,8 +209,8 @@ def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = No
 def _cloud_from_table(
     data: np.ndarray, path: Path, with_labels: bool, room_id: str
 ) -> PointCloud:
-    """The one row check of every room input: ``x y z r g b [label]`` rows,
-    finite, colors integers in [0, 255] and labels integers."""
+    """The one table check of every room input: ``x y z r g b [label]``
+    rows, each checked by ``PointCloud`` and reported by its data line."""
     ncols = data.shape[1]
     if ncols not in (6, 7):
         raise CloudFormatError(
@@ -199,22 +219,11 @@ def _cloud_from_table(
         )
     if with_labels and ncols != 7:
         raise CloudFormatError(f"{path}: labels requested but no 7th column present")
-    # A field that the cast leaves unchanged is an integer in range.
-    with np.errstate(invalid="ignore"):
-        colors = data[:, 3:6].astype(np.uint8)
-        labels = data[:, 6].astype(np.int32) if with_labels else None
-    checks = [
-        (~np.isfinite(data), "non-finite coordinate"),
-        (colors != data[:, 3:6], "color fields must be integers in [0, 255]"),
-    ]
-    if with_labels:
-        checks.append((labels != data[:, 6], "label must be an integer"))
-    for bad, message in checks:
-        if bad.any():
-            # Row-major indices: the first one lies on the first bad row.
-            row = int(np.nonzero(bad)[0][0]) + 1
-            raise CloudFormatError(f"{path}: data line {row}: {message}")
-    return PointCloud(positions=data[:, :3], colors=colors, labels=labels, room_id=room_id)
+    labels = data[:, 6] if with_labels else None
+    try:
+        return PointCloud(data[:, :3], data[:, 3:6], labels, room_id=room_id)
+    except _BadRow as exc:
+        raise CloudFormatError(f"{path}: data line {exc.row + 1}: {exc.rule}") from None
 
 
 def _room_id_for(path: Path) -> str:

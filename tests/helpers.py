@@ -82,6 +82,13 @@ class FullDiskLines:
         return self.lines[block]
 
 
+def ball_sample(rng, n, scale=2.0):
+    """``n`` points drawn uniformly from the ball of radius ``scale``."""
+    direction = rng.normal(size=(n, 3))
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return direction * scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1 / 3)
+
+
 def f1_score(pred: np.ndarray, truth: np.ndarray) -> float:
     """F1 of two boolean masks."""
     pred = np.asarray(pred, dtype=bool)

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
 
-from helpers import VISIBLE_CORES, CoordinateBank, f1_score, max_outside_distance
+from helpers import VISIBLE_CORES, CoordinateBank, ball_sample, f1_score, max_outside_distance
 from mvrep.cli import main
 from mvrep.critical import FeatureBank, critical_set, verify_subset_invariance
 from mvrep.geometry import (
@@ -40,12 +40,6 @@ from oracles import (
 from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
 from mvrep.synthetic import synthetic_room
 from mvrep.viewpoints import GridConfig, enumerate_perspectives, grid_viewpoints
-
-
-def ball_sample(rng, n, scale=2.0):
-    direction = rng.normal(size=(n, 3))
-    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
-    return direction * scale * rng.uniform(0.0, 1.0, size=(n, 1)) ** (1 / 3)
 
 
 def manifest_bytes(manifest, tmp_path, name):

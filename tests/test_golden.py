@@ -1,9 +1,10 @@
 """Frozen output digests: a refactor must reproduce these bytes exactly.
 
 The digests were taken with numpy 2.4.6 and scipy 1.17.1.  The visible sets
-come from qhull through ``scipy.spatial.ConvexHull``, so a different scipy
-may legitimately change them; re-derive the digests only after checking
-that such a change comes from the library and not from this package.
+come from qhull through ``scipy.spatial.ConvexHull`` with option ``Q7``, so a
+different scipy may legitimately change them; re-derive the digests only
+after checking that such a change comes from the library and not from this
+package.
 """
 
 import hashlib
@@ -36,12 +37,16 @@ def room():
     return golden_room()
 
 
-def write_generate(room, out: Path, jobs: int) -> None:
-    """The golden generate run: every output of ``room`` written to ``out``."""
-    config = PipelineConfig(
+def golden_config(jobs: int) -> PipelineConfig:
+    """The settings of the golden generate run."""
+    return PipelineConfig(
         grid=GridConfig(spacing=2.0), min_points=50, radius_factor=1000.0, seed=0, jobs=jobs
     )
-    kept, manifest = generate_multiview(room, config)
+
+
+def write_generate(room, out: Path, jobs: int) -> None:
+    """The golden generate run: every output of ``room`` written to ``out``."""
+    kept, manifest = generate_multiview(room, golden_config(jobs))
     assert manifest.source_path == ""
     write_outputs(room, kept, manifest, out)
 
