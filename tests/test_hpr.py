@@ -184,8 +184,9 @@ def default_option_vertices(points):
 
 
 def test_hull_option_keeps_default_vertex_sets(monkeypatch):
-    # Every input that HPR hulls in the golden generate and ``mvrep hpr``
-    # runs and in the degenerate scenes' retries, then random balls.
+    # Every input that HPR hulls in the golden generate run, in the golden
+    # room seen from the centre of its bounds and in the degenerate scenes'
+    # retries, then random balls.
     inputs = []
 
     def recording(points):
