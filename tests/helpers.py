@@ -12,6 +12,7 @@ from scipy.spatial import ConvexHull
 
 import mvrep
 from mvrep.geometry import ConvexHull3
+from mvrep.hpr import visible_points
 from mvrep.io import format_lines, write_partial_set
 
 # Cores this process may run on, which a container can pin below the host's.
@@ -28,6 +29,33 @@ DISPATCH_SETTINGS = {
     "OPENBLAS_CORETYPE": "Prescott",
     "NPY_DISABLE_CPU_FEATURES": "X86_V4,AVX512_ICL,AVX512_SPR",
 }
+
+
+# Orthonormal rows spanning a plane through the origin, tilted off every axis.
+TILTED_BASIS = np.array([[1.0, 2.0, 2.0], [2.0, 1.0, -2.0]]) / 3.0
+
+# Scenes whose flipped set and viewpoint, the origin, span fewer than three
+# dimensions, so qhull rejects their first hull.
+DEGENERATE_SCENES = {
+    # Points and viewpoint share a plane, so the flipped set does too.
+    "planar": np.column_stack(
+        [np.random.default_rng(9).uniform(1.0, 4.0, size=(50, 2)), np.zeros(50)]
+    ),
+    # The same on a plane whose points are planar only up to rounding.
+    "tilted_plane": np.random.default_rng(11).uniform(1.0, 4.0, size=(50, 2)) @ TILTED_BASIS,
+    # One ray from the viewpoint.
+    "collinear": np.outer(np.linspace(1.0, 2.0, 20), [1.0, 2.0, 3.0]),
+    "repeated_point": np.tile([[1.0, 2.0, 3.0]], (8, 1)),
+    "ray_pair": np.array([[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+}
+
+
+def degenerate_visible_sets() -> dict[str, list[int]]:
+    """Visible indices of each degenerate scene from the origin."""
+    return {
+        name: visible_points(points, np.zeros(3), 1000.0).tolist()
+        for name, points in DEGENERATE_SCENES.items()
+    }
 
 
 def child_env(**settings: str) -> dict[str, str]:

@@ -8,13 +8,14 @@ package.
 """
 
 import hashlib
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from helpers import DISPATCH_SETTINGS, child_env, write_room
+from helpers import DISPATCH_SETTINGS, child_env, degenerate_visible_sets, write_room
 from mvrep.cli import main
 from mvrep.pipeline import PipelineConfig, generate_multiview, write_outputs
 from mvrep.synthetic import synthetic_room
@@ -91,12 +92,16 @@ def test_hpr_partial_matches_golden(room, tmp_path):
 
 def golden_child_digest(tmp_path: Path, argv: list[str], **settings: str) -> str:
     """Run the golden generate with 2 workers, then ``mvrep`` on ``argv``, in a
-    child process with ``settings``; return the digest of the generate outputs."""
-    generate_out = tmp_path / "generate"
+    child process with ``settings``; return the digest of the generate outputs.
+    The child also writes the degenerate scenes' visible sets to
+    ``tmp_path / "degenerate.json"``."""
+    generate_out, degenerate_out = tmp_path / "generate", tmp_path / "degenerate.json"
     code = (
-        "import sys; from pathlib import Path; from mvrep.cli import main; "
+        "import json, sys; from pathlib import Path; from mvrep.cli import main; "
+        "from helpers import degenerate_visible_sets; "
         "from test_golden import golden_room, write_generate; "
         f"write_generate(golden_room(), Path({str(generate_out)!r}), jobs=2); "
+        f"Path({str(degenerate_out)!r}).write_text(json.dumps(degenerate_visible_sets())); "
         f"sys.exit(main({argv!r}))"
     )
     subprocess.run([sys.executable, "-c", code], env=child_env(**settings), timeout=300, check=True)
@@ -116,10 +121,13 @@ def test_bytes_do_not_depend_on_blas_thread_count(room, tmp_path):
 
 def test_bytes_do_not_depend_on_cpu_dispatch(room, tmp_path):
     # ``mvrep critical`` is left out: FeatureBank.evaluate's BLAS product and
-    # np.exp still round differently on these paths (ROADMAP item 6).
+    # np.exp still round differently on these paths (ROADMAP item 6).  The
+    # degenerate scenes take the lift's LAPACK eigensolver.
     src = tmp_path / "golden_room.txt"
     write_room(room, src)
     out = tmp_path / "hpr.txt"
     digest = golden_child_digest(tmp_path, hpr_argv(room, src, out), **DISPATCH_SETTINGS)
     assert digest == GENERATE_SHA256
     assert hashlib.sha256(out.read_bytes()).hexdigest() == HPR_SHA256
+    degenerate = json.loads((tmp_path / "degenerate.json").read_text())
+    assert degenerate == degenerate_visible_sets()

@@ -4,26 +4,13 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from helpers import ball_sample, f1_score
+from helpers import DEGENERATE_SCENES, TILTED_BASIS, ball_sample, f1_score
 from mvrep import hpr
-from mvrep.geometry import DegenerateInputError, convex_hull_3d
+from mvrep.geometry import DegenerateInputError, convex_hull_3d, spherical_flip
 from mvrep.hpr import visible_points
 from mvrep.pipeline import generate_multiview
 from oracles import cap_visibility_sphere
 from test_golden import golden_config, golden_room
-
-# Scenes whose flipped set and viewpoint (the origin) span fewer than three
-# dimensions, so qhull rejects the first hull and HPR retries with jitter.
-DEGENERATE_SCENES = [
-    # Points and viewpoint share a plane, so the flipped set does too.
-    pytest.param(
-        np.column_stack([np.random.default_rng(9).uniform(1.0, 4.0, size=(50, 2)), np.zeros(50)]),
-        id="planar",
-    ),
-    # One ray from the viewpoint.
-    pytest.param(np.outer(np.linspace(1.0, 2.0, 20), [1.0, 2.0, 3.0]), id="collinear"),
-    pytest.param(np.tile([[1.0, 2.0, 3.0]], (8, 1)), id="repeated_point"),
-]
 
 
 def to_mask(indices, n):
@@ -103,8 +90,8 @@ class TestInvariances:
     def test_deterministic(self):
         rng = np.random.default_rng(5)
         pts = rng.normal(size=(300, 3)) + [5.0, 0, 0]
-        a = visible_points(pts, np.zeros(3), 1000.0, seed=1)
-        b = visible_points(pts, np.zeros(3), 1000.0, seed=1)
+        a = visible_points(pts, np.zeros(3), 1000.0)
+        b = visible_points(pts, np.zeros(3), 1000.0)
         np.testing.assert_array_equal(a, b)
 
     def test_output_sorted_and_in_range(self):
@@ -140,9 +127,19 @@ class TestInvariances:
         assert len(a ^ b) <= 0.005 * len(sample.points)
 
 
+def in_plane_hull(points, basis):
+    """Indices of ``points`` whose flipped images are vertices of the 2-D
+    hull of the flipped set and the viewpoint, the origin, in the
+    coordinates of the plane spanned by the rows of ``basis``."""
+    radius = 1000.0 * np.linalg.norm(points, axis=1).max()
+    flat = spherical_flip(points, np.zeros(3), radius) @ basis.T
+    vertices = ConvexHull(np.vstack([flat, np.zeros(2)])).vertices
+    return np.sort(vertices[vertices < len(points)])
+
+
 class TestDegenerateScenes:
-    @pytest.mark.parametrize("pts", DEGENERATE_SCENES)
-    def test_degenerate_scene_needs_one_jitter_retry(self, monkeypatch, pts):
+    @pytest.mark.parametrize("name", DEGENERATE_SCENES)
+    def test_degenerate_scene_is_hulled_once_more_when_lifted(self, monkeypatch, name):
         outcomes = []
 
         def recording(points):
@@ -155,6 +152,7 @@ class TestDegenerateScenes:
             return hull
 
         monkeypatch.setattr(hpr, "convex_hull_3d", recording)
+        pts = DEGENERATE_SCENES[name]
         vis = visible_points(pts, np.zeros(3), 1000.0)
         assert outcomes == ["degenerate", "hull"]
         assert vis.size > 0
@@ -165,16 +163,44 @@ class TestDegenerateScenes:
         rng = np.random.default_rng(10)
         xy = rng.uniform(1.0, 4.0, size=(40, 2))
         pts = np.column_stack([xy, np.zeros(40)])
-        a = visible_points(pts, np.zeros(3), 1000.0, seed=3)
-        b = visible_points(pts, np.zeros(3), 1000.0, seed=3)
+        a = visible_points(pts, np.zeros(3), 1000.0)
+        b = visible_points(pts, np.zeros(3), 1000.0)
         np.testing.assert_array_equal(a, b)
 
-    @pytest.mark.xfail(
-        strict=True, reason="the jitter retry keeps 9 of the 20 points (ROADMAP item 13)"
-    )
+    def test_planar_scene_keeps_the_in_plane_hull(self):
+        pts = DEGENERATE_SCENES["planar"]
+        expected = in_plane_hull(pts, np.eye(3)[:2])
+        assert len(expected) == 34
+        np.testing.assert_array_equal(visible_points(pts, np.zeros(3), 1000.0), expected)
+
+    def test_tilted_plane_through_the_viewpoint_keeps_the_in_plane_hull(self):
+        pts = DEGENERATE_SCENES["tilted_plane"]
+        np.testing.assert_array_equal(
+            visible_points(pts, np.zeros(3), 1000.0), in_plane_hull(pts, TILTED_BASIS)
+        )
+
     def test_collinear_scene_keeps_only_the_nearest_point(self):
-        pts = np.outer(np.linspace(1.0, 2.0, 20), [1.0, 2.0, 3.0])
+        pts = DEGENERATE_SCENES["collinear"]
         np.testing.assert_array_equal(visible_points(pts, np.zeros(3), 1000.0), [0])
+
+    def test_two_points_alone_on_one_ray_keep_the_nearer(self):
+        pts = DEGENERATE_SCENES["ray_pair"]
+        np.testing.assert_array_equal(visible_points(pts, np.zeros(3), 1000.0), [0])
+
+    def test_repeated_point_keeps_one_copy(self):
+        # Copies of one point flip to one image, and a hull keeps one copy of
+        # a vertex.  Here it is the lowest index.
+        pts = DEGENERATE_SCENES["repeated_point"]
+        np.testing.assert_array_equal(visible_points(pts, np.zeros(3), 1000.0), [0])
+
+    def test_copies_of_a_visible_point_keep_one_copy(self):
+        rng = np.random.default_rng(12)
+        pts = rng.normal(size=(60, 3)) + [5.0, 0, 0]
+        vis = visible_points(pts, np.zeros(3), 1000.0)
+        # Row i of the copied scene is a copy of point source[i].
+        source = np.concatenate([np.arange(60), vis])
+        kept = visible_points(pts[source], np.zeros(3), 1000.0)
+        np.testing.assert_array_equal(np.sort(source[kept]), vis)
 
 
 def default_option_vertices(points):
@@ -185,8 +211,8 @@ def default_option_vertices(points):
 
 def test_hull_option_keeps_default_vertex_sets(monkeypatch):
     # Every input that HPR hulls in the golden generate run, in the golden
-    # room seen from the centre of its bounds and in the degenerate scenes'
-    # retries, then random balls.
+    # room seen from the centre of its bounds and in the degenerate scenes,
+    # lifted off their span, then random balls.
     inputs = []
 
     def recording(points):
@@ -199,8 +225,8 @@ def test_hull_option_keeps_default_vertex_sets(monkeypatch):
     generate_multiview(room, golden_config(jobs=1))
     visible_points(room.positions, (room.bounds.lo + room.bounds.hi) / 2.0, 1000.0)
     golden_hulls = len(inputs)
-    for scene in DEGENERATE_SCENES:
-        visible_points(scene.values[0], np.zeros(3), 1000.0)
+    for points in DEGENERATE_SCENES.values():
+        visible_points(points, np.zeros(3), 1000.0)
     assert golden_hulls > 0 and len(inputs) == golden_hulls + len(DEGENERATE_SCENES)
     rng = np.random.default_rng(41)
     inputs += [ball_sample(rng, int(rng.integers(4, 501))) for _ in range(200)]
