@@ -2,27 +2,27 @@
 
 Points are reflected about a large sphere centred on the viewpoint; a point
 is classified visible exactly when its flipped image is a vertex of the
-convex hull of the flipped set together with the viewpoint.  The flip radius
-is ``radius_factor`` times the farthest point distance, computed on the set
-actually passed in (cull before calling for frustum semantics).
+convex hull of the flipped set together with the viewpoint.  When that set
+spans only a plane or a line, the hull is the one within that span.  The
+flip radius is ``radius_factor`` times the farthest point distance,
+computed on the set actually passed in (cull before calling for frustum
+semantics).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .geometry import (
-    DegenerateInputError,
-    _as_points,
-    bounding_box,
-    convex_hull_3d,
-    spherical_flip,
-)
+from .geometry import DegenerateInputError, _as_points, convex_hull_3d, spherical_flip
 
 __all__ = ["visible_points"]
 
+# A scatter axis whose eigenvalue is at most this share of the largest lies
+# off the span of the hull input.
+_SPAN_RTOL = 1e-12
 
-def visible_points(points, viewpoint, radius_factor: float, *, seed: int = 0) -> np.ndarray:
+
+def visible_points(points, viewpoint, radius_factor: float) -> np.ndarray:
     """Indices of points visible from ``viewpoint``.
 
     Args:
@@ -36,13 +36,14 @@ def visible_points(points, viewpoint, radius_factor: float, *, seed: int = 0) ->
             default.  Very large factors do start to leak back-surface
             points once sampling gets sparse, so match the factor to the
             scene, not the other way round.
-        seed: seeds the one jitter retry used when the flipped set is
-            planar, collinear or repeated; the visible set of such a
-            degenerate scene is approximate (ROADMAP item 13).
 
     Returns:
-        Sorted array of visible indices into the input.  Sets with fewer
-        than 4 points are returned in full: a hull cannot distinguish them.
+        Sorted array of visible indices into the input.  The result depends
+        on the inputs alone.  If the flipped set and the viewpoint span only
+        a plane or a line, a point is visible when its image is a vertex of
+        their hull within that span: of points on one ray only the nearest
+        is.  Copies of a visible point share one image, of which the hull
+        keeps one copy.
     """
     pts = _as_points(points)
     n = pts.shape[0]
@@ -55,22 +56,21 @@ def visible_points(points, viewpoint, radius_factor: float, *, seed: int = 0) ->
         raise ValueError(f"viewpoint must be finite, got {vp.tolist()}")
 
     radius = radius_factor * float(np.linalg.norm(pts - vp, axis=1).max())
-    # The flip rejects a point that coincides with the viewpoint, small sets too.
+    # The flip rejects a point that coincides with the viewpoint.
     flipped = spherical_flip(pts, vp, radius)
-    if n < 4:
-        return np.arange(n, dtype=np.intp)
-
     hull_input = np.vstack([flipped, vp])
     try:
         hull = convex_hull_3d(hull_input)
     except DegenerateInputError:
-        # One deterministic retry with a tiny seeded jitter.  The input holds
-        # the viewpoint and a point at least EPS_DIST from it, so the scale is
-        # positive and the jitter spreads even planar, collinear or repeated
-        # points over three dimensions; a second rejection would propagate.
-        rng = np.random.default_rng(seed)
-        scale = 1e-7 * bounding_box(hull_input).diameter
-        hull = convex_hull_3d(hull_input + rng.normal(size=hull_input.shape) * scale)
-    # vertex_indices is sorted and the filter keeps its order.
+        # The input spans a plane or a line through the viewpoint.  Points
+        # added off that span, at the flipped set's scale, keep its extreme
+        # points and add none of its other points; a second rejection
+        # propagates.
+        rel = flipped - vp
+        spans, axes = np.linalg.eigh(rel.T @ rel)
+        off_span = axes[:, spans <= _SPAN_RTOL * spans[-1]]
+        hull = convex_hull_3d(np.vstack([hull_input, vp + radius * off_span.T]))
+    # vertex_indices is sorted; the filter drops the viewpoint and the added
+    # points and keeps the order.
     visible = hull.vertex_indices[hull.vertex_indices < n]
     return visible.astype(np.intp)

@@ -167,14 +167,7 @@ def generate_multiview(
 
     def hidden_point_removal(task):
         perspective, culled = task
-        # Seed is derived per perspective so results do not depend on the
-        # order in which workers pick up tasks.
-        local = visible_points(
-            positions[culled],
-            perspective.viewpoint,
-            config.radius_factor,
-            seed=(config.seed, perspective.perspective_id),
-        )
+        local = visible_points(positions[culled], perspective.viewpoint, config.radius_factor)
         return perspective.perspective_id, culled[local]
 
     with ThreadPoolExecutor(max_workers=config.jobs) as pool:
