@@ -100,7 +100,7 @@ _GENERATE_SCHEMA = {
 def _load_config_file(path: str) -> dict[str, str]:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config file {path}: {exc}") from None
     values: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

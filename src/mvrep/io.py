@@ -531,7 +531,7 @@ def read_manifest(path) -> MultiviewManifest:
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CloudFormatError(f"{path}: unreadable manifest: {exc}") from None
     try:
         entries = tuple(

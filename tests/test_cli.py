@@ -237,6 +237,23 @@ def test_infinite_far_plane_and_spacing_stay_valid(room_file, tmp_path, flag):
     assert again.read_bytes() == path.read_bytes()
 
 
+# Config files that ``generate --config`` rejects, besides an unknown key:
+# (content, message).
+BAD_CONFIG_FILES = [
+    pytest.param(b"min-points\n", "expected key=value", id="no-equals"),
+    pytest.param(b"min-points = \xff\n", "can't decode byte 0xff", id="undecodable"),
+]
+
+
+@pytest.mark.parametrize("content, message", BAD_CONFIG_FILES)
+def test_bad_config_file_is_config_error_naming_it(room_file, tmp_path, capsys, content, message):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_bytes(content)
+    assert run_generate(room_file, tmp_path / "mv", "--config", str(cfg)) == 2
+    err = capsys.readouterr().err
+    assert f"config file {cfg}:" in err and message in err
+
+
 @pytest.fixture(scope="module")
 def manifest_dir(room_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("manifests")
@@ -406,6 +423,28 @@ class TestCritical:
         code = main(["critical", "--input", str(missing), *flag, "--out", str(tmp_path / "c.json")])
         assert code == 2
         assert "must be >=" in capsys.readouterr().err
+
+
+# Manifests that ``stats`` and ``fuse`` cannot read: (content, message).
+BAD_MANIFESTS = [
+    pytest.param(b"{not json", "unreadable manifest", id="not-json"),
+    pytest.param(b'{"room_id": "x"}', "malformed manifest", id="missing-keys"),
+    pytest.param(b'{"room_id": "\xff"}', "unreadable manifest", id="undecodable"),
+]
+
+
+@pytest.mark.parametrize("command", ["stats", "fuse"])
+@pytest.mark.parametrize("content, message", BAD_MANIFESTS)
+def test_bad_manifest_is_input_error_naming_it(tmp_path, capsys, command, content, message):
+    bad = tmp_path / "mv" / "Area_1_office_1_manifest.json"
+    bad.parent.mkdir()
+    bad.write_bytes(content)
+    argv = [command, "--manifests", str(bad.parent)]
+    if command == "fuse":
+        argv += ["--partial-per-area", "0", "--out", str(tmp_path / "t.txt")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"{bad}: {message}" in err
 
 
 class TestStats:
