@@ -302,6 +302,12 @@ class TestWriteOutputs:
 
     def test_failed_partial_write_leaves_no_manifest(self, room, generated, tmp_path, monkeypatch):
         kept, manifest = generated
+        manifest_name = f"{manifest.room_id}_manifest.json"
+        # An out directory that holds the manifest and partial files of an
+        # earlier run made with another radius factor.
+        rerun = tmp_path / "rerun"
+        write_outputs(room, *generate_multiview(room, small_config(radius_factor=5.0)), rerun)
+        assert (rerun / manifest_name).exists()
         real = pipeline.write_partial_set
         calls = []
 
@@ -310,11 +316,14 @@ class TestWriteOutputs:
             return real(FullDiskLines(lines) if len(calls) == 2 else lines, path)
 
         monkeypatch.setattr(pipeline, "write_partial_set", failing_second)
-        out = tmp_path / "out"
-        with pytest.raises(OSError):
-            write_outputs(room, kept, manifest, out)
-        assert len(calls) == 2
-        assert sorted(p.name for p in out.iterdir()) == [manifest.entries[0].file_path]
+        fresh = tmp_path / "fresh"
+        for out in (fresh, rerun):
+            calls.clear()
+            with pytest.raises(OSError):
+                write_outputs(room, kept, manifest, out)
+            assert len(calls) == 2
+            assert not (out / manifest_name).exists(), out.name
+        assert sorted(p.name for p in fresh.iterdir()) == [manifest.entries[0].file_path]
 
     @pytest.mark.parametrize("with_labels", [False, True], ids=["6col", "7col"])
     def test_overlapping_sets_match_rows_formatted_one_at_a_time(self, tmp_path, with_labels):
