@@ -198,6 +198,8 @@ def _scan_manifests(root: str):
 
 
 def cmd_fuse(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     try:
         recipe = FusionRecipe(
             partial_per_area=args.partial_per_area,
@@ -225,6 +227,8 @@ def cmd_critical(args) -> int:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.trials < 0:
         raise ConfigError(f"--trials must be >= 0, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     cloud = _load_cloud(args.input)
     bank = FeatureBank.rbf(cloud.bounds, k=args.k, seed=args.seed)
     invariance = verify_subset_invariance(

@@ -9,7 +9,7 @@ exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -40,7 +40,7 @@ class FeatureBank:
     widths: np.ndarray
 
     @classmethod
-    def rbf(cls, bounds: Aabb, k: int = 64, seed: int = 0) -> "FeatureBank":
+    def rbf(cls, bounds: Aabb, k: int, seed: int) -> "FeatureBank":
         if k < 1:
             raise ValueError(f"need at least one feature, got k={k}")
         rng = np.random.default_rng(seed)
@@ -76,12 +76,9 @@ class CriticalReport:
 
     def to_dict(self) -> dict:
         return {
+            **{f.name: getattr(self, f.name) for f in fields(self)},
             "u": [float(v) for v in self.u],
             "critical_indices": [int(i) for i in self.critical_indices],
-            "upper_mask_description": self.upper_mask_description,
-            "critical_size": self.critical_size,
-            "cloud_size": self.cloud_size,
-            "k": self.k,
         }
 
 
@@ -136,7 +133,7 @@ class InvarianceReport:
 
 
 def verify_subset_invariance(
-    points, bank: FeatureBank, trials: int = 50, seed: int = 0
+    points, bank: FeatureBank, trials: int, seed: int
 ) -> InvarianceReport:
     """Sample subsets T with critical set <= T <= upper mask; u must not move.
 

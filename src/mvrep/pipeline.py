@@ -22,7 +22,7 @@ import itertools
 import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -80,23 +80,19 @@ class PipelineConfig:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
 
     def echo(self) -> dict:
-        """Generation-relevant parameters; excludes jobs, which must never
-        influence the produced bytes.  An infinite ``max_depth`` (no far
-        plane) or ``spacing`` (one cell) is echoed as None, JSON's null."""
+        """Every field of the config, its fov and its grid but jobs, which
+        must never influence the produced bytes.  A tuple is echoed as a list
+        and an infinite value (no far plane, one grid cell) as None, JSON's
+        null."""
+        echo = {f.name: getattr(part, f.name) for part in (self.fov, self.grid, self)
+                for f in fields(part)}
+        del echo["jobs"]
+        # Not settable, but part of the manifest and config_hash bytes.
+        echo["include_boundary"] = True
         return {
-            "hfov_deg": self.fov.hfov_deg,
-            "vfov_deg": self.fov.vfov_deg,
-            "min_depth": self.fov.min_depth,
-            "max_depth": None if self.fov.max_depth == np.inf else self.fov.max_depth,
-            "spacing": None if self.grid.spacing == np.inf else self.grid.spacing,
-            "camera_height": self.grid.camera_height,
-            "yaw_steps": list(self.grid.yaw_steps),
-            "pitch_steps": list(self.grid.pitch_steps),
-            # Not settable, but part of the manifest and config_hash bytes.
-            "include_boundary": True,
-            "min_points": self.min_points,
-            "radius_factor": self.radius_factor,
-            "seed": self.seed,
+            name: list(value) if isinstance(value, tuple) else None if value == np.inf else value
+            for name, value in echo.items()
+            if not is_dataclass(value)
         }
 
     def config_hash(self) -> str:
@@ -109,7 +105,7 @@ class FusionRecipe:
     """How many partial sets per area to mix into a training list."""
 
     partial_per_area: int
-    include_originals: bool = True
+    include_originals: bool
 
     def __post_init__(self) -> None:
         if self.partial_per_area < 0:
@@ -255,9 +251,9 @@ def write_outputs(
     ``kept`` holds one index array per manifest entry, as
     ``generate_multiview`` returns them.  Kept sets overlap heavily, so
     every row that any of them holds is formatted once and each file is
-    written from those lines.  Each file appears only once complete and the
-    manifest comes last, so a run that fails part way leaves no manifest
-    behind.
+    written from those lines.  A manifest of an earlier run in ``out_dir``
+    is removed first, each file appears only once complete and the manifest
+    comes last, so a run that fails part way leaves no manifest behind.
     """
     if len(kept) != len(manifest.entries):
         raise ValueError(
@@ -271,6 +267,8 @@ def write_outputs(
             )
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    manifest_path = out / f"{manifest.room_id}{MANIFEST_SUFFIX}"
+    manifest_path.unlink(missing_ok=True)
     covered = np.zeros(len(cloud), dtype=bool)
     for rows in kept:
         covered[rows] = True
@@ -278,7 +276,6 @@ def write_outputs(
     lines = format_lines(cloud, covered_rows)
     for rows, entry in zip(kept, manifest.entries):
         write_partial_set(lines[np.searchsorted(covered_rows, rows)], out / entry.file_path)
-    manifest_path = out / f"{manifest.room_id}{MANIFEST_SUFFIX}"
     write_manifest(manifest, manifest_path)
     return manifest_path
 
@@ -292,7 +289,7 @@ def fuse_training_set(
     originals: dict,
     partials: dict,
     recipe: FusionRecipe,
-    seed: int = 0,
+    seed: int,
 ) -> list[str]:
     """Compose a training file list from originals and sampled partial sets.
 

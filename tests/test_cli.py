@@ -319,6 +319,34 @@ class TestFuse:
         )
         assert code == 2
 
+    def test_negative_seed_is_config_error_before_manifests_are_read(self, tmp_path, capsys):
+        code = main(
+            [
+                "fuse",
+                "--manifests",
+                str(tmp_path / "no_such_dir"),
+                "--partial-per-area",
+                "1",
+                "--seed",
+                "-1",
+                "--out",
+                str(tmp_path / "t.txt"),
+            ]
+        )
+        assert code == 2
+        assert "--seed must be >= 0" in capsys.readouterr().err
+
+    def test_unset_seed_is_zero_and_originals_are_kept(self, room_file, manifest_dir, tmp_path):
+        lists = {}
+        for name, extra in [("unset", []), ("zero", ["--seed", "0"]), ("none", ["--no-originals"])]:
+            out = tmp_path / f"{name}.txt"
+            argv = ["fuse", "--manifests", str(manifest_dir), "--partial-per-area", "2"]
+            assert main(argv + extra + ["--out", str(out)]) == 0
+            lists[name] = out.read_text().splitlines()
+        assert lists["unset"] == lists["zero"]
+        assert str(room_file.resolve()) in lists["unset"]
+        assert lists["none"] == [f for f in lists["unset"] if f != str(room_file.resolve())]
+
     @pytest.mark.skipif(not hasattr(signal, "SIGXFSZ"), reason="needs a file size limit")
     def test_failed_write_keeps_the_previous_list(self, manifest_dir, tmp_path):
         out = tmp_path / "train.txt"
@@ -417,7 +445,15 @@ class TestCritical:
         )
         assert code == 2
 
-    @pytest.mark.parametrize("flag", [["--k", "0"], ["--trials", "-1"]])
+    def test_unset_flags_take_the_cli_defaults(self, room_file, tmp_path):
+        out = tmp_path / "crit.json"
+        assert main(["critical", "--input", str(room_file), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["critical"]["k"] == 64
+        assert doc["invariance"]["trials"] == 50
+        assert doc["seed"] == 0
+
+    @pytest.mark.parametrize("flag", [["--k", "0"], ["--trials", "-1"], ["--seed", "-1"]])
     def test_flag_error_reported_before_input_is_read(self, tmp_path, capsys, flag):
         missing = tmp_path / "no_such_room.txt"
         code = main(["critical", "--input", str(missing), *flag, "--out", str(tmp_path / "c.json")])

@@ -48,7 +48,7 @@ class TestFeatureBank:
 
     def test_rbf_rejects_zero_features(self):
         with pytest.raises(ValueError, match="at least one"):
-            FeatureBank.rbf(Aabb(lo=np.zeros(3), hi=np.ones(3)), k=0)
+            FeatureBank.rbf(Aabb(lo=np.zeros(3), hi=np.ones(3)), k=0, seed=0)
 
     def test_coordinates_bank(self):
         bank = CoordinateBank((0, 2))
@@ -95,9 +95,16 @@ class TestCriticalSet:
     def test_to_dict_is_json_friendly(self):
         report = critical_set(FIXTURE, CoordinateBank((0, 1)))
         d = report.to_dict()
-        assert d["u"] == [1.0, 0.9]
-        assert d["critical_indices"] == [1, 2]
+        assert d == {
+            "u": [1.0, 0.9],
+            "critical_indices": [1, 2],
+            "upper_mask_description": report.upper_mask_description,
+            "critical_size": 2,
+            "cloud_size": 5,
+            "k": 2,
+        }
         assert isinstance(d["upper_mask_description"], str)
+        assert json.loads(json.dumps(d, allow_nan=False)) == d
 
 
 class TestSubsetInvariance:
@@ -113,7 +120,7 @@ class TestSubsetInvariance:
     def test_to_dict(self):
         pts = random_cloud(11, n=32)
         bank = FeatureBank.rbf(bounding_box(pts), k=4, seed=0)
-        d = verify_subset_invariance(pts, bank, trials=5).to_dict()
+        d = verify_subset_invariance(pts, bank, trials=5, seed=0).to_dict()
         assert d["passed"] is True
         assert d["trials"] == 5
         assert len(d["u"]) == 4
@@ -121,7 +128,7 @@ class TestSubsetInvariance:
     @pytest.mark.parametrize(
         "points, bank, trials",
         [
-            (CLOUD_5K, FeatureBank.rbf(bounding_box(CLOUD_5K), k=16), 10),
+            (CLOUD_5K, FeatureBank.rbf(bounding_box(CLOUD_5K), k=16, seed=0), 10),
             (np.eye(3), CoordinateBank((0, 1, 2)), 4),
         ],
         ids=["random-5k", "all-critical"],

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -40,6 +41,35 @@ def small_config(**overrides):
     return PipelineConfig(**defaults)
 
 
+# Every field of the config, its fov and its grid set away from its default.
+EVERY_FIELD_CHANGED = PipelineConfig(
+    fov=FovSpec(hfov_deg=80.0, vfov_deg=50.0, min_depth=0.25, max_depth=6.0),
+    grid=GridConfig(
+        spacing=3.0, camera_height=1.2, yaw_steps=(0.0, 120.0, 240.0), pitch_steps=(-15.0, 15.0)
+    ),
+    min_points=123,
+    radius_factor=250.0,
+    seed=9,
+    jobs=3,
+)
+
+
+def _one_field_changed():
+    """(name, config) for every field of the config, its fov and its grid:
+    the default config with that one field taken from EVERY_FIELD_CHANGED."""
+    base = PipelineConfig()
+    for f in dataclasses.fields(base):
+        nested = getattr(base, f.name)
+        if not dataclasses.is_dataclass(nested):
+            yield f.name, dataclasses.replace(base, **{f.name: getattr(EVERY_FIELD_CHANGED, f.name)})
+            continue
+        for g in dataclasses.fields(nested):
+            value = getattr(getattr(EVERY_FIELD_CHANGED, f.name), g.name)
+            yield g.name, dataclasses.replace(
+                base, **{f.name: dataclasses.replace(nested, **{g.name: value})}
+            )
+
+
 @pytest.fixture(scope="module")
 def room():
     return synthetic_room(12_000, size=(4.0, 3.0, 2.5), seed=1)
@@ -59,9 +89,39 @@ class TestPipelineConfig:
 
     def test_hash_ignores_jobs_but_not_parameters(self):
         base = PipelineConfig()
-        assert base.config_hash() == PipelineConfig(jobs=8).config_hash()
-        assert base.config_hash() != PipelineConfig(seed=1).config_hash()
-        assert base.config_hash() != PipelineConfig(min_points=1).config_hash()
+        for name, config in _one_field_changed():
+            # A field added without a value in EVERY_FIELD_CHANGED fails here.
+            assert config != base, name
+            if name == "jobs":
+                assert config.config_hash() == base.config_hash()
+            else:
+                assert config.config_hash() != base.config_hash(), name
+
+    def test_echo_of_a_config_with_every_field_changed(self):
+        expected = {
+            "hfov_deg": 80.0,
+            "vfov_deg": 50.0,
+            "min_depth": 0.25,
+            "max_depth": 6.0,
+            "spacing": 3.0,
+            "camera_height": 1.2,
+            "yaw_steps": [0.0, 120.0, 240.0],
+            "pitch_steps": [-15.0, 15.0],
+            "include_boundary": True,
+            "min_points": 123,
+            "radius_factor": 250.0,
+            "seed": 9,
+        }
+        echo = EVERY_FIELD_CHANGED.echo()
+        assert echo == expected
+        assert {k: type(v) for k, v in echo.items()} == {k: type(v) for k, v in expected.items()}
+        assert json.dumps(echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+    def test_infinite_depth_and_spacing_echo_as_none(self):
+        config = PipelineConfig(fov=FovSpec(max_depth=math.inf), grid=GridConfig(spacing=math.inf))
+        echo = config.echo()
+        assert echo["max_depth"] is None and echo["spacing"] is None
+        json.dumps(echo, allow_nan=False)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="min_points"):
@@ -75,7 +135,7 @@ class TestPipelineConfig:
 
     def test_fusion_recipe_validation(self):
         with pytest.raises(ValueError, match="partial_per_area"):
-            FusionRecipe(partial_per_area=-1)
+            FusionRecipe(partial_per_area=-1, include_originals=True)
 
 
 class TestGenerateMultiview:
@@ -398,7 +458,7 @@ class TestFuseTrainingSet:
     }
 
     def test_deterministic_and_orderly(self):
-        recipe = FusionRecipe(partial_per_area=2)
+        recipe = FusionRecipe(partial_per_area=2, include_originals=True)
         a = fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe, seed=3)
         b = fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe, seed=3)
         assert a == b
@@ -408,7 +468,7 @@ class TestFuseTrainingSet:
         assert picked_a1 < set(self.PARTIALS["Area_1"])
 
     def test_independent_of_dict_ordering(self):
-        recipe = FusionRecipe(partial_per_area=1)
+        recipe = FusionRecipe(partial_per_area=1, include_originals=True)
         flipped_orig = dict(reversed(list(self.ORIGINALS.items())))
         flipped_part = {
             k: list(reversed(v)) for k, v in reversed(list(self.PARTIALS.items()))
@@ -424,8 +484,8 @@ class TestFuseTrainingSet:
         assert not any("room" in p for p in out)
 
     def test_requesting_too_many_is_an_error(self):
-        recipe = FusionRecipe(partial_per_area=5)
+        recipe = FusionRecipe(partial_per_area=5, include_originals=True)
         with pytest.raises(
             ValueError, match="area Area_2: requested 5 partial sets but only 4"
         ):
-            fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe)
+            fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe, seed=0)
