@@ -97,31 +97,51 @@ class TestPipelineConfig:
             else:
                 assert config.config_hash() != base.config_hash(), name
 
-    def test_echo_of_a_config_with_every_field_changed(self):
-        expected = {
-            "hfov_deg": 80.0,
-            "vfov_deg": 50.0,
-            "min_depth": 0.25,
-            "max_depth": 6.0,
-            "spacing": 3.0,
-            "camera_height": 1.2,
-            "yaw_steps": [0.0, 120.0, 240.0],
-            "pitch_steps": [-15.0, 15.0],
-            "include_boundary": True,
-            "min_points": 123,
-            "radius_factor": 250.0,
-            "seed": 9,
-        }
-        echo = EVERY_FIELD_CHANGED.echo()
+    @pytest.mark.parametrize(
+        "config, expected",
+        [
+            (
+                EVERY_FIELD_CHANGED,
+                {
+                    "hfov_deg": 80.0,
+                    "vfov_deg": 50.0,
+                    "min_depth": 0.25,
+                    "max_depth": 6.0,
+                    "spacing": 3.0,
+                    "camera_height": 1.2,
+                    "yaw_steps": [0.0, 120.0, 240.0],
+                    "pitch_steps": [-15.0, 15.0],
+                    "include_boundary": True,
+                    "min_points": 123,
+                    "radius_factor": 250.0,
+                    "seed": 9,
+                },
+            ),
+            (
+                PipelineConfig(fov=FovSpec(max_depth=math.inf), grid=GridConfig(spacing=math.inf)),
+                {
+                    "hfov_deg": 70.0,
+                    "vfov_deg": 60.0,
+                    "min_depth": 0.5,
+                    "max_depth": None,
+                    "spacing": None,
+                    "camera_height": 1.5,
+                    "yaw_steps": [0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0],
+                    "pitch_steps": [-30.0, 0.0, 30.0],
+                    "include_boundary": True,
+                    "min_points": 40_000,
+                    "radius_factor": 1000.0,
+                    "seed": 0,
+                },
+            ),
+        ],
+        ids=["every-field-changed", "no-far-plane-one-cell"],
+    )
+    def test_echo_matches_frozen_literal(self, config, expected):
+        echo = config.echo()
         assert echo == expected
         assert {k: type(v) for k, v in echo.items()} == {k: type(v) for k, v in expected.items()}
         assert json.dumps(echo, sort_keys=True) == json.dumps(expected, sort_keys=True)
-
-    def test_infinite_depth_and_spacing_echo_as_none(self):
-        config = PipelineConfig(fov=FovSpec(max_depth=math.inf), grid=GridConfig(spacing=math.inf))
-        echo = config.echo()
-        assert echo["max_depth"] is None and echo["spacing"] is None
-        json.dumps(echo, allow_nan=False)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="min_points"):
