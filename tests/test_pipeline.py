@@ -80,6 +80,12 @@ def generated(room):
     return generate_multiview(room, small_config())
 
 
+@pytest.fixture(scope="module")
+def generated_at_radius_5(room):
+    """The same room at radius factor 5: three fewer kept sets than ``generated``."""
+    return generate_multiview(room, small_config(radius_factor=5.0))
+
+
 class TestPipelineConfig:
     def test_echo_excludes_execution_knobs(self):
         echo = PipelineConfig(jobs=7).echo()
@@ -404,6 +410,17 @@ class TestWriteOutputs:
             assert len(calls) == 2
             assert not (out / manifest_name).exists(), out.name
         assert sorted(p.name for p in fresh.iterdir()) == [manifest.entries[0].file_path]
+
+    def test_rerun_removes_the_partial_files_it_does_not_name(
+        self, room, generated, generated_at_radius_5, tmp_path
+    ):
+        kept, manifest = generated_at_radius_5
+        assert (len(generated[1].entries), len(manifest.entries)) == (156, 153)
+        write_outputs(room, *generated, tmp_path)
+        write_outputs(room, kept, manifest, tmp_path)
+        assert sorted(p.name for p in tmp_path.glob("*.txt")) == sorted(
+            entry.file_path for entry in manifest.entries
+        )
 
     @pytest.mark.parametrize("with_labels", [False, True], ids=["6col", "7col"])
     def test_overlapping_sets_match_rows_formatted_one_at_a_time(self, tmp_path, with_labels):
