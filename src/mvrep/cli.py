@@ -41,13 +41,7 @@ from .io import (
     write_json,
     write_partial_set,
 )
-from .pipeline import (
-    FusionRecipe,
-    PipelineConfig,
-    fuse_training_set,
-    generate_multiview,
-    write_outputs,
-)
+from .pipeline import PipelineConfig, fuse_training_set, generate_multiview, write_outputs
 from .viewpoints import GridConfig
 
 __all__ = ["main"]
@@ -200,13 +194,8 @@ def _scan_manifests(root: str):
 def cmd_fuse(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-    try:
-        recipe = FusionRecipe(
-            partial_per_area=args.partial_per_area,
-            include_originals=not args.no_originals,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    if args.partial_per_area < 0:
+        raise ConfigError(f"--partial-per-area must be >= 0, got {args.partial_per_area}")
     originals: dict[str, list[str]] = defaultdict(list)
     partials: dict[str, list[str]] = defaultdict(list)
     for path, manifest in _scan_manifests(args.manifests):
@@ -215,7 +204,9 @@ def cmd_fuse(args) -> int:
             originals[area].append(manifest.source_path)
         for entry in manifest.entries:
             partials[area].append(str(path.parent / entry.file_path))
-    files = fuse_training_set(dict(originals), dict(partials), recipe, seed=args.seed)
+    files = fuse_training_set(
+        dict(originals), dict(partials), args.partial_per_area, not args.no_originals, args.seed
+    )
     with replacing(args.out) as fh:
         fh.write(b"".join(os.fsencode(f) + b"\n" for f in files))
     print(f"wrote {len(files)} training files to {args.out}")

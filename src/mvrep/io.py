@@ -468,6 +468,14 @@ def partial_filename(room_id: str, perspective_id: int, yaw_deg: float, pitch_de
     return f"{room_id}_v{perspective_id}_y{yaw_deg:g}_p{pitch_deg:g}.txt"
 
 
+def _is_partial_filename(room_id: str, name: str) -> bool:
+    """Whether ``partial_filename`` spells ``name`` for ``room_id``.
+
+    ``%g`` never prints ``_``, so a name belongs to at most one room id.
+    """
+    return re.fullmatch(re.escape(room_id) + r"_v\d+_y[^_]+_p[^_]+\.txt", name) is not None
+
+
 @dataclass(frozen=True)
 class ManifestEntry:
     """One kept perspective of a generated multiview set."""

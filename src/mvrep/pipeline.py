@@ -34,6 +34,7 @@ from .io import (
     ManifestEntry,
     MultiviewManifest,
     PointCloud,
+    _is_partial_filename,
     format_lines,
     partial_filename,
     write_manifest,
@@ -43,7 +44,6 @@ from .viewpoints import GridConfig, enumerate_perspectives, grid_viewpoints
 
 __all__ = [
     "PipelineConfig",
-    "FusionRecipe",
     "generate_multiview",
     "write_outputs",
     "fuse_training_set",
@@ -98,20 +98,6 @@ class PipelineConfig:
     def config_hash(self) -> str:
         canonical = json.dumps(self.echo(), sort_keys=True, allow_nan=False)
         return hashlib.sha256(canonical.encode()).hexdigest()[:16]
-
-
-@dataclass(frozen=True)
-class FusionRecipe:
-    """How many partial sets per area to mix into a training list."""
-
-    partial_per_area: int
-    include_originals: bool
-
-    def __post_init__(self) -> None:
-        if self.partial_per_area < 0:
-            raise ValueError(
-                f"partial_per_area must be >= 0, got {self.partial_per_area}"
-            )
 
 
 def _cull_viewpoint(positions, perspectives):
@@ -251,9 +237,10 @@ def write_outputs(
     ``kept`` holds one index array per manifest entry, as
     ``generate_multiview`` returns them.  Kept sets overlap heavily, so
     every row that any of them holds is formatted once and each file is
-    written from those lines.  A manifest of an earlier run in ``out_dir``
-    is removed first, each file appears only once complete and the manifest
-    comes last, so a run that fails part way leaves no manifest behind.
+    written from those lines.  The room's manifest and partial files of an
+    earlier run in ``out_dir`` are removed first; other files stay.  Each
+    file appears only once complete and the manifest comes last, so a run
+    that fails part way leaves no manifest behind.
     """
     if len(kept) != len(manifest.entries):
         raise ValueError(
@@ -269,6 +256,11 @@ def write_outputs(
     out.mkdir(parents=True, exist_ok=True)
     manifest_path = out / f"{manifest.room_id}{MANIFEST_SUFFIX}"
     manifest_path.unlink(missing_ok=True)
+    # Also those this run rewrites, so a run that fails part way leaves only
+    # its own.
+    for path in list(out.iterdir()):
+        if _is_partial_filename(manifest.room_id, path.name):
+            path.unlink()
     covered = np.zeros(len(cloud), dtype=bool)
     for rows in kept:
         covered[rows] = True
@@ -288,29 +280,33 @@ def _area_rng(seed: int, area: str) -> np.random.Generator:
 def fuse_training_set(
     originals: dict,
     partials: dict,
-    recipe: FusionRecipe,
+    partial_per_area: int,
+    include_originals: bool,
     seed: int,
 ) -> list[str]:
     """Compose a training file list from originals and sampled partial sets.
 
     ``originals`` and ``partials`` map an area key to file paths.  Per area
-    the result keeps all originals (when the recipe includes them) plus
+    the result keeps all originals (when ``include_originals``) plus
     ``partial_per_area`` partial sets sampled uniformly without replacement
     from that area's pool.  Sampling is seeded per area, so the list is
-    reproducible and independent of dict ordering.
+    reproducible and independent of dict ordering.  A ``partial_per_area``
+    below 0, or above any area's pool, raises ``ValueError``.
     """
+    if partial_per_area < 0:
+        raise ValueError(f"partial_per_area must be >= 0, got {partial_per_area}")
     areas = sorted(set(originals) | set(partials))
     out: list[str] = []
     for area in areas:
         pool = sorted(str(p) for p in partials.get(area, ()))
-        if recipe.partial_per_area > len(pool):
+        if partial_per_area > len(pool):
             raise ValueError(
-                f"area {area}: requested {recipe.partial_per_area} partial sets "
+                f"area {area}: requested {partial_per_area} partial sets "
                 f"but only {len(pool)} are available"
             )
-        if recipe.include_originals:
+        if include_originals:
             out.extend(sorted(str(p) for p in originals.get(area, ())))
         rng = _area_rng(seed, area)
-        chosen = rng.choice(len(pool), size=recipe.partial_per_area, replace=False)
+        chosen = rng.choice(len(pool), size=partial_per_area, replace=False)
         out.extend(pool[i] for i in chosen)
     return out

@@ -305,12 +305,12 @@ class TestFuse:
         assert code == 1
         assert "available" in capsys.readouterr().err
 
-    def test_negative_request_is_config_error(self, manifest_dir, tmp_path):
+    def test_negative_request_is_config_error(self, tmp_path, capsys):
         code = main(
             [
                 "fuse",
                 "--manifests",
-                str(manifest_dir),
+                str(tmp_path / "no_such_dir"),
                 "--partial-per-area",
                 "-1",
                 "--out",
@@ -318,6 +318,7 @@ class TestFuse:
             ]
         )
         assert code == 2
+        assert "--partial-per-area must be >= 0, got -1" in capsys.readouterr().err
 
     def test_negative_seed_is_config_error_before_manifests_are_read(self, tmp_path, capsys):
         code = main(

@@ -1,5 +1,6 @@
 """I/O tests: cloud container, text formats, PLY, and manifests."""
 
+import itertools
 import json
 import struct
 
@@ -14,6 +15,7 @@ from mvrep.io import (
     ManifestEntry,
     MultiviewManifest,
     PointCloud,
+    _is_partial_filename,
     area_of,
     format_lines,
     parse_ply,
@@ -450,6 +452,14 @@ class TestPartialFilename:
 
     def test_zero_angles(self):
         assert partial_filename("r", 0, 0.0, 0.0) == "r_v0_y0_p0.txt"
+
+    def test_recognizer_owns_each_name_for_one_room_id(self):
+        angles = (-30.0, -0.0, 22.5, 1e6)
+        for yaw, pitch in itertools.product(angles, angles):
+            name = partial_filename("office_1", 7, yaw, pitch)
+            assert _is_partial_filename("office_1", name), name
+            for other in ("office", "office_", "office_10"):
+                assert not _is_partial_filename(other, name), (other, name)
 
 
 def _manifest(n_entries=2, min_points=10):

@@ -17,10 +17,10 @@ from mvrep.io import (
     MultiviewManifest,
     PointCloud,
     parse_s3dis_room,
+    partial_filename,
     read_manifest,
 )
 from mvrep.pipeline import (
-    FusionRecipe,
     PipelineConfig,
     fuse_training_set,
     generate_multiview,
@@ -158,10 +158,6 @@ class TestPipelineConfig:
             PipelineConfig(radius_factor=float("inf"))
         with pytest.raises(ValueError, match="jobs"):
             PipelineConfig(jobs=0)
-
-    def test_fusion_recipe_validation(self):
-        with pytest.raises(ValueError, match="partial_per_area"):
-            FusionRecipe(partial_per_area=-1, include_originals=True)
 
 
 class TestGenerateMultiview:
@@ -422,6 +418,44 @@ class TestWriteOutputs:
             entry.file_path for entry in manifest.entries
         )
 
+    def test_rerun_keeps_other_rooms_files(self, room, generated, tmp_path):
+        kept, manifest = generated
+
+        def renamed(room_id, count):
+            entries = tuple(
+                dataclasses.replace(
+                    e, file_path=partial_filename(room_id, e.perspective_id, e.yaw_deg, e.pitch_deg)
+                )
+                for e in manifest.entries[:count]
+            )
+            return dataclasses.replace(manifest, room_id=room_id, entries=entries)
+
+        # Each id extends the one before it.  A re-run of either of the first
+        # two keeps the files of the other rooms.
+        room_ids = ("office", "office_1", "office_10")
+        (tmp_path / "notes.txt").write_text("notes\n")
+        for room_id in room_ids:
+            write_outputs(room, kept, renamed(room_id, len(kept)), tmp_path)
+        for room_id in room_ids[:2]:
+            write_outputs(room, kept[:1], renamed(room_id, 1), tmp_path)
+        expected = {"notes.txt"}
+        for room_id, count in zip(room_ids, (1, 1, len(kept))):
+            expected.add(f"{room_id}_manifest.json")
+            expected |= {e.file_path for e in renamed(room_id, count).entries}
+        assert {p.name for p in tmp_path.iterdir()} == expected
+
+    def test_earlier_manifest_cannot_remove_files_outside_out(
+        self, room, generated, generated_at_radius_5, tmp_path
+    ):
+        out = tmp_path / "out"
+        manifest_path = write_outputs(room, *generated, out)
+        doc = json.loads(manifest_path.read_text())
+        doc["entries"][0]["file_path"] = "../x"
+        manifest_path.write_text(json.dumps(doc))
+        (tmp_path / "x").write_text("outside\n")
+        write_outputs(room, *generated_at_radius_5, out)
+        assert (tmp_path / "x").read_text() == "outside\n"
+
     @pytest.mark.parametrize("with_labels", [False, True], ids=["6col", "7col"])
     def test_overlapping_sets_match_rows_formatted_one_at_a_time(self, tmp_path, with_labels):
         n = 2 * WRITE_BLOCK_ROWS + 50
@@ -495,9 +529,8 @@ class TestFuseTrainingSet:
     }
 
     def test_deterministic_and_orderly(self):
-        recipe = FusionRecipe(partial_per_area=2, include_originals=True)
-        a = fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe, seed=3)
-        b = fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe, seed=3)
+        a = fuse_training_set(self.ORIGINALS, self.PARTIALS, 2, True, seed=3)
+        b = fuse_training_set(self.ORIGINALS, self.PARTIALS, 2, True, seed=3)
         assert a == b
         assert len(a) == 3 + 4
         assert a[:2] == ["a1/roomA.txt", "a1/roomB.txt"]
@@ -505,24 +538,27 @@ class TestFuseTrainingSet:
         assert picked_a1 < set(self.PARTIALS["Area_1"])
 
     def test_independent_of_dict_ordering(self):
-        recipe = FusionRecipe(partial_per_area=1, include_originals=True)
         flipped_orig = dict(reversed(list(self.ORIGINALS.items())))
         flipped_part = {
             k: list(reversed(v)) for k, v in reversed(list(self.PARTIALS.items()))
         }
         assert fuse_training_set(
-            self.ORIGINALS, self.PARTIALS, recipe, seed=9
-        ) == fuse_training_set(flipped_orig, flipped_part, recipe, seed=9)
+            self.ORIGINALS, self.PARTIALS, 1, True, seed=9
+        ) == fuse_training_set(flipped_orig, flipped_part, 1, True, seed=9)
 
     def test_without_originals(self):
-        recipe = FusionRecipe(partial_per_area=2, include_originals=False)
-        out = fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe, seed=0)
+        out = fuse_training_set(self.ORIGINALS, self.PARTIALS, 2, False, seed=0)
         assert len(out) == 4
         assert not any("room" in p for p in out)
 
     def test_requesting_too_many_is_an_error(self):
-        recipe = FusionRecipe(partial_per_area=5, include_originals=True)
         with pytest.raises(
             ValueError, match="area Area_2: requested 5 partial sets but only 4"
         ):
-            fuse_training_set(self.ORIGINALS, self.PARTIALS, recipe, seed=0)
+            fuse_training_set(self.ORIGINALS, self.PARTIALS, 5, True, seed=0)
+
+    def test_negative_request_is_an_error(self):
+        # Rejected before any area is looked at, so also when there is none.
+        for partials in ({}, self.PARTIALS):
+            with pytest.raises(ValueError, match="partial_per_area must be >= 0, got -1"):
+                fuse_training_set({}, partials, -1, True, seed=0)
