@@ -254,6 +254,48 @@ def test_bad_config_file_is_config_error_naming_it(room_file, tmp_path, capsys, 
     assert f"config file {cfg}:" in err and message in err
 
 
+# Values that a generate setting's caster rejects, given as a flag or as a
+# config file line: (flag arguments, config line, message).
+UNCASTABLE_VALUES = [
+    pytest.param(["--hfov", "abc"], None, "flag --hfov: could not convert", id="flag-float"),
+    pytest.param(
+        ["--yaw-steps", ","], None, "flag --yaw-steps: expected a non-empty number list",
+        id="flag-empty-list",
+    ),
+    pytest.param([], "min_points = many", "config key min_points: invalid literal", id="key-int"),
+    pytest.param(
+        [], "with_labels = maybe", "config key with_labels: expected a boolean", id="key-bool"
+    ),
+]
+
+
+@pytest.mark.parametrize("flags, line, message", UNCASTABLE_VALUES)
+def test_uncastable_value_is_config_error_naming_its_source(
+    tmp_path, capsys, flags, line, message
+):
+    argv = ["generate", "--input", str(tmp_path / "no_such_room.txt"), "--out", str(tmp_path)]
+    if line is not None:
+        cfg = tmp_path / "gen.cfg"
+        cfg.write_text(f"{line}\n")
+        argv += ["--config", str(cfg)]
+    assert main(argv + flags) == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value, labelled", [("yes", True), ("off", False)])
+def test_with_labels_from_config_file(tmp_path, value, labelled):
+    room = synthetic_room(5_000, size=(3.0, 3.0, 2.5), seed=4, room_id="Area_2_office_1")
+    src = tmp_path / "Area_2_office_1.txt"
+    write_room(room, src)
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text(f"with_labels = {value}\n")
+    out = tmp_path / "mv"
+    assert run_generate(src, out, "--config", str(cfg)) == 0
+    manifest = read_manifest(out / "Area_2_office_1_manifest.json")
+    first = (out / manifest.entries[0].file_path).read_text().splitlines()[0]
+    assert len(first.split()) == (7 if labelled else 6)
+
+
 @pytest.fixture(scope="module")
 def manifest_dir(room_file, tmp_path_factory):
     out = tmp_path_factory.mktemp("manifests")

@@ -386,6 +386,33 @@ class TestPly:
         np.testing.assert_allclose(cloud.positions[0], [0.5, 1.0, -2.0], atol=1e-7)
         np.testing.assert_array_equal(cloud.colors, [[9, 8, 7], [1, 2, 3]])
 
+    def test_binary_skips_elements_declared_before_the_vertices(self, tmp_path):
+        f = tmp_path / "b.ply"
+        header = (
+            "ply\nformat binary_little_endian 1.0\n"
+            "element camera 2\nproperty double view_x\nproperty uchar flag\n"
+            "element vertex 2\n"
+            "property double x\nproperty double y\nproperty double z\n"
+            "end_header\n"
+        )
+        cameras = struct.pack("<dBdB", 9.0, 1, 8.0, 2)
+        rows = struct.pack("<dddddd", 0.5, 1.0, -2.0, 3.0, 2.0, 1.0)
+        f.write_bytes(header.encode("ascii") + cameras + rows)
+        cloud = parse_ply(f)
+        np.testing.assert_array_equal(cloud.positions, [[0.5, 1.0, -2.0], [3.0, 2.0, 1.0]])
+        np.testing.assert_array_equal(cloud.colors, np.zeros((2, 3)))
+
+    def test_binary_short_vertex_data(self, tmp_path):
+        f = tmp_path / "b.ply"
+        header = (
+            "ply\nformat binary_little_endian 1.0\nelement vertex 3\n"
+            "property float x\nproperty float y\nproperty float z\n"
+            "end_header\n"
+        )
+        f.write_bytes(header.encode("ascii") + struct.pack("<ffffff", 0, 0, 0, 1, 1, 1))
+        with pytest.raises(CloudFormatError, match="declares 3 entries but data is short"):
+            parse_ply(f)
+
     @pytest.mark.parametrize("bad", ["300", "2.5", "-1"])
     def test_ascii_color_outside_uchar_reports_data_line(self, tmp_path, bad):
         f = ascii_ply(tmp_path, f"0 0 0 1 2 3\n1 1 1 4 {bad} 6\n", 2)
