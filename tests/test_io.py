@@ -334,6 +334,14 @@ class TestS3disLayout:
         cloud = parse_s3dis_room(room_dir)
         assert cloud.room_id == "Area_1_office_7"
 
+    def test_bad_row_reports_its_annotation_file_and_data_line(self, tmp_path):
+        room_dir = self._make_room(tmp_path)
+        table = room_dir / "Annotations" / "table_1.txt"
+        table.write_text("0 0 1 1 2 3\n# scan header\n0 1 1 4 300 6\n")
+        with pytest.raises(CloudFormatError) as info:
+            parse_s3dis_room(room_dir)
+        assert str(info.value) == f"{table}: data line 2: colors must be integers in [0, 255]"
+
     def test_merged_file_fallback(self, tmp_path):
         d = tmp_path / "office_9"
         d.mkdir()
