@@ -142,6 +142,8 @@ def verify_subset_invariance(
     plus a random selection of the remaining points.  Equality of the
     embeddings is exact, not approximate.
     """
+    if trials < 0:
+        raise ValueError(f"need a non-negative trial count, got trials={trials}")
     pos = _as_points(points)
     feats = bank.evaluate(pos)
     report = _critical_report(feats, bank)

@@ -207,10 +207,12 @@ def _load_numeric_lines(path: Path, skiprows: int = 0, max_rows: int | None = No
 
 
 def _cloud_from_table(
-    data: np.ndarray, path: Path, with_labels: bool, room_id: str
+    data: np.ndarray, path: Path, with_labels: bool, room_id: str, parts=()
 ) -> PointCloud:
     """The one table check of every room input: ``x y z r g b [label]``
-    rows, each checked by ``PointCloud`` and reported by its data line."""
+    rows, each checked by ``PointCloud`` and reported by its data line.
+    ``parts``, when given, pairs each file whose rows ``data`` stacks with
+    its table, so that a bad row is reported in its own file."""
     ncols = data.shape[1]
     if ncols not in (6, 7):
         raise CloudFormatError(
@@ -223,7 +225,12 @@ def _cloud_from_table(
     try:
         return PointCloud(data[:, :3], data[:, 3:6], labels, room_id=room_id)
     except _BadRow as exc:
-        raise CloudFormatError(f"{path}: data line {exc.row + 1}: {exc.rule}") from None
+        row = exc.row
+        for path, table in parts:
+            if row < len(table):
+                break
+            row -= len(table)
+        raise CloudFormatError(f"{path}: data line {row + 1}: {exc.rule}") from None
 
 
 def _room_id_for(path: Path) -> str:
@@ -273,7 +280,8 @@ def parse_s3dis_room(path, with_labels: bool = False) -> PointCloud:
                 # The category becomes the 7th (label) column of the table.
                 tables.append(np.column_stack([data, np.full(data.shape[0], cat_id)]))
             return _cloud_from_table(
-                np.vstack(tables), path, with_labels=with_labels, room_id=_room_id_for(path)
+                np.vstack(tables), path, with_labels=with_labels, room_id=_room_id_for(path),
+                parts=zip(files, tables),
             )
         merged_file = path / f"{path.name}.txt"
         if not merged_file.is_file():

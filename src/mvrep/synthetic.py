@@ -25,6 +25,9 @@ _COLORS = {
     "clutter": (60, 160, 90),
 }
 
+# Standard deviation, in metres, of the measurement noise on every point.
+_NOISE = 0.002
+
 
 def _rect(origin, e1, e2, n, rng):
     """Uniform sample of a parallelogram patch."""
@@ -51,10 +54,14 @@ def synthetic_room(
     size: tuple[float, float, float] = (8.0, 6.0, 3.0),
     seed: int = 0,
     room_id: str = "Area_1_synthroom",
-    noise: float = 0.002,
     with_labels: bool = True,
 ) -> PointCloud:
-    """Build a furnished box room with ``n_points`` surface samples."""
+    """Build a furnished box room with ``n_points`` surface samples.
+
+    Every other surface gets at least one point and the floor takes what
+    they leave, which can be none.  A count too small to cover them (42 or
+    fewer at the default size) raises ``ValueError``.
+    """
     sx, sy, sz = size
     rng = np.random.default_rng(seed)
 
@@ -88,15 +95,13 @@ def synthetic_room(
     total_area = sum(a for _, _, a in surfaces)
     counts = [max(1, int(round(n_points * a / total_area))) for _, _, a in surfaces]
     counts[0] += n_points - sum(counts)  # land exactly on n_points
+    if counts[0] < 0:
+        raise ValueError(f"n_points={n_points} is too few for a room of size {size}")
 
     chunks, colors, labels = [], [], []
     for (category, (origin, e1, e2), _), n in zip(surfaces, counts):
-        if n <= 0:
-            continue
         pts = _rect(origin, e1, e2, n, rng)
-        if noise > 0.0:
-            pts = pts + rng.normal(scale=noise, size=pts.shape)
-        chunks.append(pts)
+        chunks.append(pts + rng.normal(scale=_NOISE, size=pts.shape))
         colors.append(np.tile(np.array(_COLORS[category], dtype=np.uint8), (n, 1)))
         labels.append(
             np.full(n, S3DIS_CATEGORIES.index(category), dtype=np.int32)

@@ -125,6 +125,12 @@ class TestSubsetInvariance:
         assert d["trials"] == 5
         assert len(d["u"]) == 4
 
+    def test_rejects_negative_trials(self):
+        pts = random_cloud(11, n=32)
+        bank = FeatureBank.rbf(bounding_box(pts), k=4, seed=0)
+        with pytest.raises(ValueError, match="trials=-1"):
+            verify_subset_invariance(pts, bank, trials=-1, seed=0)
+
     @pytest.mark.parametrize(
         "points, bank, trials",
         [
