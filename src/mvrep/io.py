@@ -272,11 +272,9 @@ def parse_s3dis_room(path, with_labels: bool = False) -> PointCloud:
                         f"{f}: annotation files must have 6 columns, got {data.shape[1]}"
                     )
                 category = f.stem.split("_")[0].lower()
-                cat_id = (
-                    S3DIS_CATEGORIES.index(category)
-                    if category in S3DIS_CATEGORIES
-                    else S3DIS_CATEGORIES.index("clutter")
-                )
+                if category not in S3DIS_CATEGORIES:
+                    category = "clutter"
+                cat_id = S3DIS_CATEGORIES.index(category)
                 # The category becomes the 7th (label) column of the table.
                 tables.append(np.column_stack([data, np.full(data.shape[0], cat_id)]))
             return _cloud_from_table(
