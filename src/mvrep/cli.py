@@ -21,7 +21,7 @@ import math
 import os
 import sys
 from collections import defaultdict
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 # critical_set stays importable from here: perfbench/tracing.py wraps the
@@ -72,23 +72,19 @@ def _bool(text: str) -> bool:
 
 # Everything a generate config file or flag may set: the config object the
 # key lands in ("fov", "grid", "pipeline", or "cli" for CLI-only keys), the
-# field it sets there, and its caster.  Keys use underscores, flag spellings
-# use dashes.  Defaults live in the config dataclasses alone.
+# field it sets there, and its caster.  Every field of the config, its fov
+# and its grid is a key, named as the field less a trailing "_deg", and its
+# annotation picks the caster; an annotation without one fails at import.
+# Keys use underscores, flag spellings use dashes.  Defaults live in the
+# config dataclasses alone.
+_CASTERS = {"float": float, "int": int, "tuple[float, ...]": _float_list}
 _GENERATE_SCHEMA = {
-    "hfov": ("fov", "hfov_deg", float),
-    "vfov": ("fov", "vfov_deg", float),
-    "min_depth": ("fov", "min_depth", float),
-    "max_depth": ("fov", "max_depth", float),
-    "min_points": ("pipeline", "min_points", int),
-    "spacing": ("grid", "spacing", float),
-    "camera_height": ("grid", "camera_height", float),
-    "yaw_steps": ("grid", "yaw_steps", _float_list),
-    "pitch_steps": ("grid", "pitch_steps", _float_list),
-    "radius_factor": ("pipeline", "radius_factor", float),
-    "seed": ("pipeline", "seed", int),
-    "jobs": ("pipeline", "jobs", int),
-    "with_labels": ("cli", "with_labels", _bool),
+    f.name.removesuffix("_deg"): (target, f.name, _CASTERS[f.type])
+    for target, cls in (("fov", FovSpec), ("grid", GridConfig), ("pipeline", PipelineConfig))
+    for f in fields(cls)
+    if f.name not in ("fov", "grid")
 }
+_GENERATE_SCHEMA["with_labels"] = ("cli", "with_labels", _bool)
 
 
 def _load_config_file(path: str) -> dict[str, str]:
@@ -270,10 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--input", required=True, help="room file or directory")
     gen.add_argument("--out", required=True, help="output directory")
     for key in _GENERATE_SCHEMA:
-        if key == "with_labels":
-            gen.add_argument("--with-labels", dest=key, action="store_true", default=None)
-        else:
-            gen.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None)
+        flag = {"action": "store_true"} if key == "with_labels" else {}
+        gen.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **flag)
     gen.add_argument("--config", default=None, help="key=value config file")
     gen.set_defaults(func=cmd_generate)
 

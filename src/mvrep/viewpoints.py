@@ -11,18 +11,14 @@ from .geometry import Aabb, FovSpec, Perspective
 
 __all__ = ["GridConfig", "grid_viewpoints", "enumerate_perspectives"]
 
-DEFAULT_YAWS = tuple(float(y) for y in range(0, 360, 45))
-DEFAULT_PITCHES = (-30.0, 0.0, 30.0)
-
-
 @dataclass(frozen=True)
 class GridConfig:
     """Placement of simulated camera positions inside a room."""
 
     spacing: float = 4.0
     camera_height: float = 1.5
-    yaw_steps: tuple[float, ...] = DEFAULT_YAWS
-    pitch_steps: tuple[float, ...] = DEFAULT_PITCHES
+    yaw_steps: tuple[float, ...] = (0.0, 45.0, 90.0, 135.0, 180.0, 225.0, 270.0, 315.0)
+    pitch_steps: tuple[float, ...] = (-30.0, 0.0, 30.0)
 
     def __post_init__(self) -> None:
         if not self.spacing > 0.0:

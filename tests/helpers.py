@@ -11,12 +11,26 @@ import numpy as np
 from scipy.spatial import ConvexHull
 
 import mvrep
-from mvrep.geometry import ConvexHull3
+from mvrep.geometry import ConvexHull3, FovSpec
 from mvrep.hpr import visible_points
 from mvrep.io import format_lines, write_partial_set
+from mvrep.pipeline import PipelineConfig
+from mvrep.viewpoints import GridConfig
 
 # Cores this process may run on, which a container can pin below the host's.
 VISIBLE_CORES = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+
+# Every field of the config, its fov and its grid set away from its default.
+EVERY_FIELD_CHANGED = PipelineConfig(
+    fov=FovSpec(hfov_deg=80.0, vfov_deg=50.0, min_depth=0.25, max_depth=6.0),
+    grid=GridConfig(
+        spacing=3.0, camera_height=1.2, yaw_steps=(0.0, 120.0, 240.0), pitch_steps=(-15.0, 15.0)
+    ),
+    min_points=123,
+    radius_factor=250.0,
+    seed=9,
+    jobs=3,
+)
 
 # Variables OpenBLAS reads for its thread count, in order of precedence.
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")

@@ -1,6 +1,7 @@
 """CLI behaviour, exercised in process through ``main``; a write that hits
 the file size limit runs ``main`` in a child process."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import run_main_with_file_size_limit, write_room
+from helpers import EVERY_FIELD_CHANGED, run_main_with_file_size_limit, write_room
 from mvrep.cli import main
 from mvrep.critical import FeatureBank
 from mvrep.io import parse_s3dis_room, read_manifest, write_manifest
@@ -27,6 +28,18 @@ def room_file(tmp_path_factory):
     )
     write_room(room, path)
     return path
+
+
+def generate_settings(config):
+    """(key, value) of every generate setting that ``config`` holds: each
+    field of the config, its fov and its grid, keyed by its name less a
+    trailing ``_deg`` and written as a flag or config file takes it."""
+    for part in (config.fov, config.grid, config):
+        for f in dataclasses.fields(part):
+            value = getattr(part, f.name)
+            if not dataclasses.is_dataclass(value):
+                text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+                yield f.name.removesuffix("_deg"), text
 
 
 def run_generate(room_file, out, *extra):
@@ -67,6 +80,22 @@ class TestGenerate:
         expected = PipelineConfig(grid=GridConfig(spacing=2.0), min_points=50)
         assert manifest.config == expected.echo()
         assert manifest.generation_config_hash == expected.config_hash()
+
+    @pytest.mark.parametrize("source", ["flags", "config file"])
+    def test_every_field_is_a_setting(self, room_file, tmp_path, source):
+        settings = list(generate_settings(EVERY_FIELD_CHANGED))
+        if source == "flags":
+            # "--flag=value", as argparse takes "-15.0,15.0" alone for a flag.
+            extra = [f"--{key.replace('_', '-')}={text}" for key, text in settings]
+        else:
+            cfg = tmp_path / "every.cfg"
+            cfg.write_text("".join(f"{key} = {text}\n" for key, text in settings))
+            extra = ["--config", str(cfg)]
+        out = tmp_path / "mv"
+        assert main(["generate", "--input", str(room_file), "--out", str(out), *extra]) == 0
+        manifest = read_manifest(out / "Area_1_office_9_manifest.json")
+        assert manifest.config == EVERY_FIELD_CHANGED.echo()
+        assert manifest.generation_config_hash == EVERY_FIELD_CHANGED.config_hash()
 
     def test_config_file_layering(self, room_file, tmp_path):
         # defaults < config file < explicit flag

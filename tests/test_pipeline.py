@@ -8,7 +8,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import FullDiskLines
+from helpers import EVERY_FIELD_CHANGED, FullDiskLines
 from mvrep import pipeline
 from mvrep.geometry import FovSpec, Perspective, camera_axes, frustum_mask
 from mvrep.io import (
@@ -39,19 +39,6 @@ def small_config(**overrides):
     )
     defaults.update(overrides)
     return PipelineConfig(**defaults)
-
-
-# Every field of the config, its fov and its grid set away from its default.
-EVERY_FIELD_CHANGED = PipelineConfig(
-    fov=FovSpec(hfov_deg=80.0, vfov_deg=50.0, min_depth=0.25, max_depth=6.0),
-    grid=GridConfig(
-        spacing=3.0, camera_height=1.2, yaw_steps=(0.0, 120.0, 240.0), pitch_steps=(-15.0, 15.0)
-    ),
-    min_points=123,
-    radius_factor=250.0,
-    seed=9,
-    jobs=3,
-)
 
 
 def _one_field_changed():

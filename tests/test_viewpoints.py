@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 
 from mvrep.geometry import Aabb, FovSpec
 from mvrep.viewpoints import (
-    DEFAULT_PITCHES,
-    DEFAULT_YAWS,
     GridConfig,
     enumerate_perspectives,
     grid_viewpoints,
@@ -115,7 +113,7 @@ class TestEnumeratePerspectives:
     def test_cartesian_product_counts(self):
         vps = grid_viewpoints(box((8.0, 6.0, 3.0)), GridConfig())
         persp = enumerate_perspectives(vps, GridConfig(), FovSpec())
-        assert len(persp) == len(vps) * len(DEFAULT_YAWS) * len(DEFAULT_PITCHES)
+        assert len(persp) == len(vps) * len(GridConfig().yaw_steps) * len(GridConfig().pitch_steps)
 
     def test_sequential_ids(self):
         vps = grid_viewpoints(box((4.0, 4.0, 3.0)), GridConfig())
