@@ -72,11 +72,10 @@ def _bool(text: str) -> bool:
 
 # Everything a generate config file or flag may set: the config object the
 # key lands in ("fov", "grid", "pipeline", or "cli" for CLI-only keys), the
-# field it sets there, and its caster.  Every field of the config, its fov
-# and its grid is a key, named as the field less a trailing "_deg", and its
-# annotation picks the caster; an annotation without one fails at import.
-# Keys use underscores, flag spellings use dashes.  Defaults live in the
-# config dataclasses alone.
+# field it sets there, and its caster.  Each field of the config, its fov and
+# its grid is a key named as the field less "_deg", whose annotation picks its
+# caster (an annotation with none fails at import).  Keys use underscores,
+# flag spellings dashes.  Defaults live in the config dataclasses alone.
 _CASTERS = {"float": float, "int": int, "tuple[float, ...]": _float_list}
 _GENERATE_SCHEMA = {
     f.name.removesuffix("_deg"): (target, f.name, _CASTERS[f.type])
@@ -266,8 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--input", required=True, help="room file or directory")
     gen.add_argument("--out", required=True, help="output directory")
     for key in _GENERATE_SCHEMA:
-        flag = {"action": "store_true"} if key == "with_labels" else {}
-        gen.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **flag)
+        action = {"action": "store_true"} if key == "with_labels" else {}
+        gen.add_argument(f"--{key.replace('_', '-')}", dest=key, default=None, **action)
     gen.add_argument("--config", default=None, help="key=value config file")
     gen.set_defaults(func=cmd_generate)
 

@@ -56,9 +56,8 @@ def synthetic_room(
     room_id: str = "Area_1_synthroom",
     with_labels: bool = True,
 ) -> PointCloud:
-    """Build a furnished box room with ``n_points`` surface samples.  Every
-    surface but the floor gets at least one and the floor the rest; a count
-    too small for that (42 or fewer at the default size) raises ``ValueError``."""
+    """Build a furnished box room with ``n_points`` surface samples; a count too
+    small to give every surface but the floor a point raises ``ValueError``."""
     sx, sy, sz = size
     rng = np.random.default_rng(seed)
 
@@ -100,7 +99,9 @@ def synthetic_room(
         pts = _rect(origin, e1, e2, n, rng)
         chunks.append(pts + rng.normal(scale=_NOISE, size=pts.shape))
         colors.append(np.tile(np.array(_COLORS[category], dtype=np.uint8), (n, 1)))
-        labels.append(np.full(n, S3DIS_CATEGORIES.index(category), dtype=np.int32))
+        labels.append(
+            np.full(n, S3DIS_CATEGORIES.index(category), dtype=np.int32)
+        )
     return PointCloud(
         positions=np.vstack(chunks),
         colors=np.vstack(colors),

@@ -11,6 +11,7 @@ from .geometry import Aabb, FovSpec, Perspective
 
 __all__ = ["GridConfig", "grid_viewpoints", "enumerate_perspectives"]
 
+
 @dataclass(frozen=True)
 class GridConfig:
     """Placement of simulated camera positions inside a room."""
